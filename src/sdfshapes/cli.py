@@ -1,5 +1,11 @@
 """Command-line pipeline: sample, train, reconstruct, interpolate, generate,
-evaluate.  All file outputs are written atomically (temp file + rename)."""
+evaluate.
+
+Sample sets, checkpoints, the reconstruct and interpolate meshes and the
+cohort manifest are written atomically (temp file + rename).  The training
+metrics CSV is appended epoch by epoch; the cohort meshes, the evaluate
+reports and their .summary.csv files are written in place.
+"""
 
 from __future__ import annotations
 
@@ -12,13 +18,12 @@ import numpy as np
 from . import cohort as cohort_mod
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .config import RunSettings, parse_config
-from .errors import SdfShapesError
-from .field import Architecture
+from .errors import InvalidCount, SdfShapesError
 from .mesh import (SurfaceSampleSet, load_mesh, load_sample_set,
                    normalize_unit_ball, sample_surface, save_mesh,
                    save_sample_set)
 from .isosurface import reconstruct_shape
-from .training import TrainConfig, train
+from .training import train
 
 MESH_EXTENSIONS = (".obj", ".ply")
 
@@ -55,14 +60,14 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples = load_sample_set(args.samples)
+    samples = load_sample_set(args.samples).validate()
     settings = _load_settings(args.config)
     initial = load_checkpoint(args.resume) if args.resume else None
     arch = initial.arch if initial is not None else settings.arch
     metrics = args.metrics or (str(args.out) + ".metrics.csv")
     ck = train(settings.train, samples, arch=arch, initial=initial,
                metrics=metrics, log=sys.stderr if args.verbose else None)
-    _atomic(lambda p: save_checkpoint(ck, p), args.out)
+    save_checkpoint(ck, args.out)
     print(f"trained {ck.epochs_completed} epochs over {samples.shape_count} "
           f"shapes -> {args.out}")
     return 0
@@ -148,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--config", default=None)
     tp.add_argument("--out", required=True)
     tp.add_argument("--resume", default=None)
-    tp.add_argument("--deterministic", action="store_true",
-                    help="single-threaded reproducible mode (always on; kept "
-                         "as an explicit switch)")
     tp.add_argument("--metrics", default=None)
     tp.add_argument("--verbose", action="store_true")
     tp.set_defaults(fn=_cmd_train)
@@ -203,6 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # numpy rejects negative seeds with a bare ValueError
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidCount(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (SdfShapesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

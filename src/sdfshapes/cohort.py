@@ -20,7 +20,7 @@ from .errors import (
     TooFewMeshes,
 )
 from .isosurface import DEFAULT_HALFWIDTH, reconstruct_shape
-from .mesh import SurfaceSampleSet, TriangleMesh, sample_surface, save_mesh
+from .mesh import SurfaceSampleSet, sample_surface, save_mesh
 
 DEFAULT_EVAL_POINTS = 30000
 HISTOGRAM_BINS = 20

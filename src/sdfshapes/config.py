@@ -1,7 +1,9 @@
 """Keyed text run configuration: `key = value` lines with `#` comments.
 
 Every key has a documented default; unknown keys are rejected so typos
-cannot silently fall back to defaults.
+cannot silently fall back to defaults.  The keys set training and the
+network layout only: grid resolution, evaluation points and sample counts
+are options of the commands that use them.
 """
 
 from __future__ import annotations
@@ -12,23 +14,13 @@ from .errors import BadValue, UnknownKey
 from .field import Architecture
 from .training import TrainConfig
 
-DEFAULT_RESOLUTION = 256
-DEFAULT_EVAL_POINTS = 30000
-DEFAULT_SAMPLE_POINTS = 500000
-DEFAULT_GRID_HALFWIDTH = 1.1
-
 
 @dataclass
 class RunSettings:
-    """Training hyperparameters plus sampling and extraction settings."""
+    """Training hyperparameters and the network layout."""
 
     train: TrainConfig
     arch: Architecture
-    resolution: int = DEFAULT_RESOLUTION
-    eval_points: int = DEFAULT_EVAL_POINTS
-    sample_points: int = DEFAULT_SAMPLE_POINTS
-    grid_halfwidth: float = DEFAULT_GRID_HALFWIDTH
-    init_scheme: str = "geometric"
 
 
 def _parse_bool(text: str) -> bool:
@@ -62,19 +54,12 @@ _KEYS = {
     "hidden_width": ("arch", "hidden_width", int),
     "skip_layer": ("arch", "skip_layer", int),
     "softplus_beta": ("arch", "softplus_beta", float),
-    "resolution": ("top", "resolution", int),
-    "eval_points": ("top", "eval_points", int),
-    "sample_points": ("top", "sample_points", int),
-    "grid_halfwidth": ("top", "grid_halfwidth", float),
-    "init_scheme": ("top", "init_scheme", str),
 }
 
 
 def parse_config(text: str) -> RunSettings:
     """Parse configuration text; unspecified keys keep their defaults."""
-    train_kwargs = {}
-    arch_kwargs = {}
-    top_kwargs = {}
+    kwargs = {"train": {}, "arch": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -91,45 +76,17 @@ def parse_config(text: str) -> RunSettings:
             parsed = parser(value)
         except ValueError:
             raise BadValue(f"line {lineno}: bad value {value!r} for key {key!r}")
-        {"train": train_kwargs, "arch": arch_kwargs, "top": top_kwargs}[section][attr] = parsed
-    train = TrainConfig(**train_kwargs)
-    arch = Architecture(latent_dim=train.latent_dim, **arch_kwargs)
-    if top_kwargs.get("init_scheme", "geometric") not in ("geometric", "xavier"):
-        raise BadValue(f"init_scheme must be 'geometric' or 'xavier'")
-    return RunSettings(train=train, arch=arch, **top_kwargs)
+        kwargs[section][attr] = parsed
+    train = TrainConfig(**kwargs["train"])
+    arch = Architecture(latent_dim=train.latent_dim, **kwargs["arch"])
+    return RunSettings(train=train, arch=arch)
 
 
 def render_config(settings: RunSettings) -> str:
     """Textual form of a settings object; parse_config inverts it exactly."""
-    values = {
-        "epochs": settings.train.epochs,
-        "initial_lr": settings.train.initial_lr,
-        "lr_halving_period": settings.train.lr_halving_period,
-        "tau": settings.train.tau,
-        "lambda": settings.train.lam,
-        "latent_dim": settings.train.latent_dim,
-        "code_init_std": settings.train.code_init_std,
-        "surface_batch_size": settings.train.surface_batch_size,
-        "offsurface_ratio": settings.train.offsurface_ratio,
-        "adam_beta1": settings.train.adam_beta1,
-        "adam_beta2": settings.train.adam_beta2,
-        "adam_eps": settings.train.adam_eps,
-        "knn_k": settings.train.knn_k,
-        "uniform_halfwidth": settings.train.uniform_halfwidth,
-        "seed": settings.train.seed,
-        "squared_code_reg": settings.train.squared_code_reg,
-        "layer_count": settings.arch.layer_count,
-        "hidden_width": settings.arch.hidden_width,
-        "skip_layer": settings.arch.skip_layer,
-        "softplus_beta": settings.arch.softplus_beta,
-        "resolution": settings.resolution,
-        "eval_points": settings.eval_points,
-        "sample_points": settings.sample_points,
-        "grid_halfwidth": settings.grid_halfwidth,
-        "init_scheme": settings.init_scheme,
-    }
     lines = []
-    for key, val in values.items():
+    for key, (section, attr, _) in _KEYS.items():
+        val = getattr(getattr(settings, section), attr)
         if isinstance(val, bool):
             lines.append(f"{key} = {'true' if val else 'false'}")
         elif isinstance(val, float):

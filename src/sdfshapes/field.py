@@ -14,7 +14,7 @@ sweep over both the primal and tangent computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,42 +140,30 @@ def softplus_d1(t: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def softplus_d2(t: np.ndarray, beta: float) -> np.ndarray:
-    s = softplus_d1(t, beta)
-    return beta * s * (1.0 - s)
+def init_params(arch: Architecture, seed: int) -> FieldParams:
+    """Initialize weights so the field starts near the signed distance to a
+    sphere of radius 0.5 (negative inside).
 
-
-def init_params(arch: Architecture, seed: int, scheme: str = "geometric") -> FieldParams:
-    """Initialize weights.
-
-    "geometric" starts the field near the signed distance to a sphere of
-    radius 0.5 (negative inside): hidden weights N(0, 2/out), final-layer
-    weights tightly around sqrt(pi/in) with bias -0.5, and the columns that
-    read the latent code (plus the skip re-injection) start at zero so the
-    initial field depends on position only.  "xavier" is plain Glorot-normal
-    with zero biases.
+    Hidden weights are N(0, 2/out), final-layer weights lie tightly around
+    sqrt(pi/in) with bias -0.5, and the columns that read the latent code
+    (plus the skip re-injection) start at zero so the initial field depends
+    on position only.
     """
     rng = np.random.default_rng(seed)
     dims = arch.layer_dims()
     L = arch.layer_count
     weights, biases = [], []
     for j, (din, dout) in enumerate(dims):
-        if scheme == "xavier":
-            W = rng.normal(0.0, np.sqrt(2.0 / (din + dout)), size=(dout, din))
-            b = np.zeros(dout)
-        elif scheme == "geometric":
-            if j == L - 1:
-                W = rng.normal(np.sqrt(np.pi) / np.sqrt(din), 1e-4, size=(dout, din))
-                b = np.full(dout, -0.5)
-            else:
-                W = rng.normal(0.0, np.sqrt(2.0) / np.sqrt(dout), size=(dout, din))
-                b = np.zeros(dout)
-                if j == 0:
-                    W[:, :arch.latent_dim] = 0.0
-                if j == arch.skip_layer:
-                    W[:, arch.hidden_width:] = 0.0
+        if j == L - 1:
+            W = rng.normal(np.sqrt(np.pi) / np.sqrt(din), 1e-4, size=(dout, din))
+            b = np.full(dout, -0.5)
         else:
-            raise ValueError(f"unknown init scheme {scheme!r}")
+            W = rng.normal(0.0, np.sqrt(2.0) / np.sqrt(dout), size=(dout, din))
+            b = np.zeros(dout)
+            if j == 0:
+                W[:, :arch.latent_dim] = 0.0
+            if j == arch.skip_layer:
+                W[:, arch.hidden_width:] = 0.0
         weights.append(W)
         biases.append(b)
     return FieldParams(arch, weights, biases).validate()
@@ -194,17 +182,19 @@ def _concat_input(arch: Architecture, z: np.ndarray, xs: np.ndarray) -> np.ndarr
     return c
 
 
-def _eval_block(params: FieldParams, c: np.ndarray) -> np.ndarray:
-    """Evaluate one fixed-shape block; c must already be zero-padded."""
+def _layers(params: FieldParams, c: np.ndarray):
+    """The forward sweep: yields (u, a) per layer, where u is the layer's
+    input (widened by c at the skip layer) and a = u W^T + b its
+    pre-activation.  The field value is the last a."""
     arch = params.arch
-    beta = arch.softplus_beta
     h = c
     for j, (W, b) in enumerate(zip(params.weights, params.biases)):
         if j == arch.skip_layer:
             h = np.concatenate([h, c], axis=1)
         a = h @ W.T + b
-        h = softplus(a, beta) if j < arch.layer_count - 1 else a
-    return h[:, 0]
+        yield h, a
+        if j < arch.layer_count - 1:
+            h = softplus(a, arch.softplus_beta)
 
 
 def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -214,61 +204,47 @@ def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     for s in range(0, n, _BLOCK):
         blk = c[s:s + _BLOCK]
-        if blk.shape[0] < _BLOCK:
-            padded = np.zeros((_BLOCK, c.shape[1]), dtype=np.float64)
-            padded[:blk.shape[0]] = blk
-            out[s:s + _BLOCK] = _eval_block(params, padded)[:blk.shape[0]]
-        else:
-            out[s:s + _BLOCK] = _eval_block(params, blk)
+        m = blk.shape[0]
+        if m < _BLOCK:
+            blk = np.zeros((_BLOCK, c.shape[1]), dtype=np.float64)
+            blk[:m] = c[s:]
+        for _, a in _layers(params, blk):
+            pass
+        out[s:s + m] = a[:m, 0]
     return out
 
 
 def _forward_trace(params: FieldParams, c: np.ndarray):
-    """Forward pass keeping per-layer inputs and pre-activations."""
-    arch = params.arch
-    beta = arch.softplus_beta
-    us, as_ = [], []
-    h = c
-    for j, (W, b) in enumerate(zip(params.weights, params.biases)):
-        if j == arch.skip_layer:
-            h = np.concatenate([h, c], axis=1)
-        us.append(h)
-        a = h @ W.T + b
-        as_.append(a)
-        h = softplus(a, beta) if j < arch.layer_count - 1 else a
-    return us, as_, h[:, 0]
+    """Forward sweep keeping per-layer inputs, the softplus slopes of the
+    hidden layers and the field values."""
+    us, as_ = zip(*_layers(params, c))
+    beta = params.arch.softplus_beta
+    phi1 = [softplus_d1(a, beta) for a in as_[:-1]]
+    return us, phi1, as_[-1][:, 0]
 
 
-def _input_gradient(params: FieldParams, us, as_):
-    """Reverse sweep: d(output)/d(concatenated input), per batch row."""
+def _input_gradient(params: FieldParams, phi1, rows: int):
+    """Reverse sweep: d(output)/d(concatenated input), per batch row, from
+    the hidden-layer slopes phi1 of a forward trace."""
     arch = params.arch
-    beta = arch.softplus_beta
-    L = arch.layer_count
     H = arch.hidden_width
-    B = us[0].shape[0]
-    cbar = np.zeros((B, arch.input_dim), dtype=np.float64)
-    if L == 1:
-        cbar += params.weights[0][0]
-        return cbar
-    p = np.broadcast_to(params.weights[L - 1], (B, H)).copy()
-    for j in range(L - 2, -1, -1):
-        q = p * softplus_d1(as_[j], beta)
-        r = q @ params.weights[j]
-        if j == 0:
-            cbar += r
-        elif j == arch.skip_layer:
-            p = r[:, :H]
-            cbar += r[:, H:]
-        else:
-            p = r
+    cbar = np.zeros((rows, arch.input_dim), dtype=np.float64)
+    W = params.weights[-1]
+    ubar = np.broadcast_to(W[0], (rows, W.shape[1]))  # d(output)/d(u) of the last layer
+    for j in range(arch.layer_count - 1, 0, -1):
+        if j == arch.skip_layer:
+            cbar += ubar[:, H:]
+            ubar = ubar[:, :H]
+        ubar = (ubar * phi1[j - 1]) @ params.weights[j - 1]
+    cbar += ubar
     return cbar
 
 
 def spatial_gradient(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Exact derivative of the field with respect to the query point."""
     c = _concat_input(params.arch, z, xs)
-    us, as_, _ = _forward_trace(params, c)
-    cbar = _input_gradient(params, us, as_)
+    _, phi1, _ = _forward_trace(params, c)
+    cbar = _input_gradient(params, phi1, len(c))
     return cbar[:, params.arch.latent_dim:]
 
 
@@ -298,13 +274,13 @@ def shape_loss(params: FieldParams, z: np.ndarray,
     if surface_points.shape != surface_normals.shape:
         raise DimensionMismatch("surface points and normals must align")
     c_s = _concat_input(params.arch, z, surface_points)
-    us, as_, y_s = _forward_trace(params, c_s)
-    g_s = _input_gradient(params, us, as_)[:, params.arch.latent_dim:]
+    _, phi1, y_s = _forward_trace(params, c_s)
+    g_s = _input_gradient(params, phi1, len(c_s))[:, params.arch.latent_dim:]
     g_o = None
     if offsurface_points is not None and len(offsurface_points) > 0:
         c_o = _concat_input(params.arch, z, np.asarray(offsurface_points, dtype=np.float64))
-        us_o, as_o, _ = _forward_trace(params, c_o)
-        g_o = _input_gradient(params, us_o, as_o)[:, params.arch.latent_dim:]
+        _, phi1_o, _ = _forward_trace(params, c_o)
+        g_o = _input_gradient(params, phi1_o, len(c_o))[:, params.arch.latent_dim:]
     z = np.asarray(z, dtype=np.float64).ravel()
     return _breakdown(y_s, g_s, surface_normals, g_o, z, tau, lam, squared_code_reg)
 
@@ -340,12 +316,11 @@ def loss_gradients(params: FieldParams, z: np.ndarray,
     B = pts.shape[0]
 
     c = _concat_input(arch, z, pts)
-    us, as_, y = _forward_trace(params, c)
-    phi1 = [softplus_d1(a, beta) for a in as_[:-1]]
-    phi2 = [softplus_d2(a, beta) for a in as_[:-1]]
+    us, phi1, y = _forward_trace(params, c)
+    phi2 = [beta * s * (1.0 - s) for s in phi1]  # softplus'' from softplus'
 
     # reverse sweep for the spatial gradient of every row
-    g = _input_gradient(params, us, as_)[:, d:]
+    g = _input_gradient(params, phi1, B)[:, d:]
 
     y_s, g_s = y[:Ns], g[:Ns]
     g_o = g[Ns:] if Mo else None

@@ -21,11 +21,12 @@ from .errors import (
     DimensionMismatch,
     InvalidResolution,
     NonFiniteValue,
+    ShapeInconsistency,
     TruncatedFile,
     UnsupportedVersion,
 )
 from .field import FieldParams, forward
-from .mc_tables import EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from .mc_tables import TRI_TABLE
 from .mesh import TriangleMesh
 
 GRID_MAGIC = b"NSDG"
@@ -204,6 +205,8 @@ def load_grid(path) -> ScalarGrid:
         data = fh.read()
     if data[:4] != GRID_MAGIC:
         raise BadMagic(f"not a grid file: magic {data[:4]!r}")
+    if len(data) < 12:
+        raise TruncatedFile("grid file ends inside its header")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != GRID_VERSION:
         raise UnsupportedVersion(f"grid version {version}")
@@ -211,6 +214,8 @@ def load_grid(path) -> ScalarGrid:
     need = 12 + 6 * 8 + R * R * R * 8
     if len(data) < need:
         raise TruncatedFile("grid file is shorter than its header claims")
+    if len(data) > need:
+        raise ShapeInconsistency("trailing bytes after grid payload")
     bounds = np.frombuffer(data, dtype="<f8", count=6, offset=12)
     flat = np.frombuffer(data, dtype="<f8", count=R * R * R, offset=12 + 48)
     values = flat.reshape((R, R, R), order="F").astype(np.float64)

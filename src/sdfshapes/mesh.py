@@ -19,6 +19,8 @@ from .errors import (
     IndexOutOfRange,
     InvalidCount,
     MeshParseError,
+    NonFiniteValue,
+    ShapeInconsistency,
     TruncatedFile,
     UnsupportedVersion,
     ZeroArea,
@@ -109,10 +111,12 @@ class SurfaceSampleSet:
         for k, (p, n) in enumerate(zip(self.points, self.normals)):
             if len(p) != len(n):
                 raise InvalidCount(f"shape {k}: {len(p)} points vs {len(n)} normals")
+            if not (np.isfinite(p).all() and np.isfinite(n).all()):
+                raise NonFiniteValue(f"shape {k}: non-finite point or normal")
             nrm = np.linalg.norm(n, axis=1)
-            if np.abs(nrm - 1.0).max() > 1e-9:
+            if (np.abs(nrm - 1.0) > 1e-9).any():
                 raise InvalidCount(f"shape {k}: non-unit normals")
-            if unit_ball and np.linalg.norm(p, axis=1).max() > 1.0 + 1e-6:
+            if unit_ball and (np.linalg.norm(p, axis=1) > 1.0 + 1e-6).any():
                 raise InvalidCount(f"shape {k}: points outside the unit ball")
         return self
 
@@ -314,6 +318,8 @@ def load_sample_set(path) -> SurfaceSampleSet:
         data = fh.read()
     if data[:4] != SAMPLESET_MAGIC:
         raise BadMagic(f"not a sample-set file: magic {data[:4]!r}")
+    if len(data) < 12:
+        raise TruncatedFile("sample-set ends inside its header")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != SAMPLESET_VERSION:
         raise UnsupportedVersion(f"sample-set version {version}")
@@ -332,4 +338,6 @@ def load_sample_set(path) -> SurfaceSampleSet:
         points.append(block[:, :3].astype(np.float64))
         normals.append(block[:, 3:].astype(np.float64))
         off += nbytes
+    if off != len(data):
+        raise ShapeInconsistency("trailing bytes after sample-set payload")
     return SurfaceSampleSet(points=points, normals=normals)

@@ -8,8 +8,7 @@ and bitwise reproducible for a fixed seed.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +25,12 @@ from .field import Architecture, FieldParams, init_params, loss_gradients
 from .mesh import SurfaceSampleSet
 
 METRICS_HEADER = "epoch,mean_total,mean_surface,mean_normal,mean_eikonal,mean_codereg,lr"
+
+# Integer fields and their exclusive upper bounds: the widths of the u32 (I)
+# and u64 (Q) fields that store them in a checkpoint.
+_STORED_INT_LIMITS = {"epochs": 2**32, "lr_halving_period": 2**32,
+                      "latent_dim": 2**32, "surface_batch_size": 2**32,
+                      "knn_k": 2**32, "seed": 2**64}
 
 
 @dataclass
@@ -56,6 +61,11 @@ class TrainConfig:
                 raise InvalidCount(f"{name} must be positive")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise InvalidCount("adam betas must lie in [0, 1)")
+        if self.seed < 0:
+            raise InvalidCount(f"seed must be >= 0, got {self.seed}")
+        for name, limit in _STORED_INT_LIMITS.items():
+            if getattr(self, name) >= limit:
+                raise InvalidCount(f"{name} must be < {limit}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -195,7 +205,7 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
             else OptimizerState.fresh(params, codes)
         start_epoch = initial.epochs_completed
     else:
-        params = init_params(arch, config.seed, "geometric")
+        params = init_params(arch, config.seed)
         init_rng = np.random.default_rng([config.seed, 0])
         codes = init_rng.normal(0.0, config.code_init_std, size=(n, config.latent_dim))
         opt = OptimizerState.fresh(params, codes)

@@ -37,7 +37,7 @@ def tiny_checkpoint(n_codes=5, seed=3, latent_dim=4, width=32, epochs=0):
     sphere field, so reconstructions are nonempty without any training."""
     arch = Architecture(layer_count=3, hidden_width=width,
                         latent_dim=latent_dim, skip_layer=1)
-    params = init_params(arch, seed, "geometric")
+    params = init_params(arch, seed)
     codes = np.random.default_rng(seed).normal(0.0, 1e-2, (n_codes, latent_dim))
     cfg = TrainConfig(epochs=max(epochs, 0) or 1, latent_dim=latent_dim,
                       surface_batch_size=32, seed=seed)

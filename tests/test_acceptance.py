@@ -260,7 +260,7 @@ def test_criterion_7_determinism(tmp_path, capfd):
                              "--seed", "9"]) == 0
         assert filecmp.cmp(s1, s2, shallow=False)
 
-        # train twice in deterministic mode
+        # train twice
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 3\nlatent_dim = 4\nsurface_batch_size = 32\n"
                        "knn_k = 5\nlayer_count = 3\nhidden_width = 32\n"
@@ -268,7 +268,7 @@ def test_criterion_7_determinism(tmp_path, capfd):
         c1, c2 = tmp_path / "c1.nsdf", tmp_path / "c2.nsdf"
         for out in (c1, c2):
             assert cli_main(["train", "--samples", str(s1), "--config",
-                             str(cfg), "--out", str(out), "--deterministic",
+                             str(cfg), "--out", str(out),
                              "--metrics", str(out) + ".csv"]) == 0
         assert filecmp.cmp(c1, c2, shallow=False)
 

@@ -88,6 +88,18 @@ def test_truncated(tmp_path):
         load_checkpoint(p)
 
 
+def test_largest_admitted_config_roundtrip(tmp_path):
+    # TrainConfig's integer bounds are the widths of the checkpoint fields
+    ck = tiny_checkpoint()
+    ck.config = TrainConfig(epochs=2**32 - 1, lr_halving_period=2**32 - 1,
+                            latent_dim=4, surface_batch_size=2**32 - 1,
+                            knn_k=2**32 - 1, seed=2**64 - 1)
+    ck.epochs_completed, ck.seed = 2**32 - 1, 2**64 - 1
+    p = tmp_path / "max.nsdf"
+    save_checkpoint(ck, p)
+    assert_checkpoints_equal(ck, load_checkpoint(p))
+
+
 def test_trailing_bytes_rejected(tmp_path):
     data = checkpoint_bytes(tiny_checkpoint())
     p = tmp_path / "extra.nsdf"

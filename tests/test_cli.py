@@ -6,7 +6,7 @@ import pytest
 from sdfshapes.cli import main
 from sdfshapes.cohort import CohortManifest, DistanceReport
 from sdfshapes.checkpoint_io import load_checkpoint
-from sdfshapes.mesh import load_mesh, load_sample_set
+from sdfshapes.mesh import load_mesh, load_sample_set, save_sample_set
 
 from conftest import CUBE_OBJ
 
@@ -152,3 +152,47 @@ def test_sample_empty_dir(tmp_path, capsys):
                "--out", str(tmp_path / "s.nsds")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected(pipeline, capsys):
+    root, meshes, _, _, ck = pipeline
+    for argv in (["sample", "--input-dir", str(meshes),
+                  "--out", str(root / "neg.nsds")],
+                 ["generate", "--checkpoint", str(ck), "--num", "1",
+                  "--interp-count", "1", "--out-dir", str(root / "neg")],
+                 ["evaluate", "pairwise", "--mesh-dir", str(meshes),
+                  "--out", str(root / "neg.csv")]):
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed must be >= 0" in err
+
+
+def _train_with(pipeline, extra_config, samples=None):
+    root, _, default_samples, _, _ = pipeline
+    cfg = root / "extra.cfg"
+    cfg.write_text(TINY_CONFIG + extra_config)
+    return main(["train", "--samples", str(samples or default_samples),
+                 "--config", str(cfg), "--out", str(root / "extra.nsdf")])
+
+
+def test_train_rejects_negative_config_seed(pipeline, capsys):
+    assert _train_with(pipeline, "seed = -1\n") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err
+
+
+def test_train_rejects_knn_k_beyond_checkpoint_field(pipeline, capsys):
+    assert _train_with(pipeline, "knn_k = 4294967296\n") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "knn_k must be < 4294967296" in err
+
+
+def test_train_rejects_non_finite_samples(pipeline, capsys):
+    root = pipeline[0]
+    bad = load_sample_set(pipeline[2])
+    bad.normals[1][7, 2] = np.nan
+    path = root / "nan.nsds"
+    save_sample_set(bad, path)
+    assert _train_with(pipeline, "", samples=path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "shape 1: non-finite point or normal" in err

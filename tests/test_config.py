@@ -18,7 +18,6 @@ def test_empty_text_gives_defaults():
     assert s.train.lam == 1e-4
     assert s.train.latent_dim == 256
     assert s.train.code_init_std == 1e-2
-    assert s.resolution == 256
     assert s.arch.layer_count == 8
     assert s.arch.hidden_width == 512
     assert s.arch.skip_layer == 4
@@ -66,10 +65,14 @@ def test_bool_key_parsing():
         parse_config("squared_code_reg = maybe\n")
 
 
-def test_init_scheme_validated():
-    assert parse_config("init_scheme = xavier\n").init_scheme == "xavier"
-    with pytest.raises(BadValue):
-        parse_config("init_scheme = random\n")
+def test_removed_keys_rejected():
+    # grid resolution, evaluation points and sample counts are command-line
+    # options; the init scheme is fixed
+    for line in ("resolution = 256", "eval_points = 30000",
+                 "sample_points = 500000", "grid_halfwidth = 1.1",
+                 "init_scheme = geometric"):
+        with pytest.raises(UnknownKey, match=line.split()[0]):
+            parse_config(line + "\n")
 
 
 def test_render_parse_roundtrip_defaults():
@@ -87,13 +90,12 @@ def test_render_parse_roundtrip_defaults():
     width=st.integers(1, 64),
     layers=st.integers(2, 10),
     squared=st.booleans(),
-    resolution=st.integers(2, 512),
 )
 def test_render_parse_roundtrip_random(epochs, lr, tau, lam, d, width, layers,
-                                       squared, resolution):
+                                       squared):
     train = TrainConfig(epochs=epochs, initial_lr=lr, tau=tau, lam=lam,
                         latent_dim=d, squared_code_reg=squared)
     arch = Architecture(layer_count=layers, hidden_width=width, latent_dim=d,
                         skip_layer=max(1, layers // 2))
-    s = RunSettings(train=train, arch=arch, resolution=resolution)
+    s = RunSettings(train=train, arch=arch)
     assert parse_config(render_config(s)) == s

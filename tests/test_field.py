@@ -62,7 +62,7 @@ def test_params_flatten_roundtrip():
 
 def test_geometric_init_sign_flip_across_surface():
     arch = tiny_arch(latent_dim=8, width=64, layers=8, skip=4)
-    p = init_params(arch, 0, "geometric")
+    p = init_params(arch, 0)
     z = np.zeros(8)
     inner = forward(p, z, np.array([[0.0, 0.0, 0.0]]))[0]
     outer = forward(p, z, np.array([[0.0, 0.0, 0.99]]))[0]
@@ -71,7 +71,7 @@ def test_geometric_init_sign_flip_across_surface():
 
 def test_geometric_init_ignores_latent_at_start():
     arch = tiny_arch(latent_dim=6, width=32, layers=4, skip=2)
-    p = init_params(arch, 1, "geometric")
+    p = init_params(arch, 1)
     xs = np.random.default_rng(0).uniform(-1, 1, (10, 3))
     a = forward(p, np.zeros(6), xs)
     b = forward(p, np.full(6, 0.7), xs)
@@ -80,18 +80,10 @@ def test_geometric_init_ignores_latent_at_start():
 
 def test_init_determinism():
     arch = tiny_arch()
-    for scheme in ("geometric", "xavier"):
-        p = init_params(arch, 42, scheme)
-        q = init_params(arch, 42, scheme)
-        for W, W2 in zip(p.weights, q.weights):
-            assert np.array_equal(W, W2)
-
-
-def test_xavier_zero_biases_finite_weights():
-    p = init_params(tiny_arch(), 3, "xavier")
-    for W, b in zip(p.weights, p.biases):
-        assert np.isfinite(W).all()
-        assert (b == 0).all()
+    p = init_params(arch, 42)
+    q = init_params(arch, 42)
+    for W, W2 in zip(p.weights, q.weights):
+        assert np.array_equal(W, W2)
 
 
 # ------------------------------------------------------------------ forward
@@ -362,3 +354,23 @@ def test_loss_gradients_breakdown_matches_shape_loss():
     assert bd.total == ref.total
     assert bd.surface_term == ref.surface_term
     assert bd.eikonal_term == ref.eikonal_term
+
+
+def test_skip_into_output_layer_gradients_match_fd():
+    # skip_layer = layer_count - 1 widens the output layer's own input
+    rng = np.random.default_rng(11)
+    arch = tiny_arch(latent_dim=4, width=8, layers=3, skip=2)
+    p = random_params(arch, 12)
+    z = rng.normal(size=4) * 0.4
+    x = rng.uniform(-0.9, 0.9, 3)
+    assert np.allclose(spatial_gradient(p, z, x[None])[0], _fd_spatial(p, z, x),
+                       rtol=1e-6, atol=1e-8)
+    pts, nrm = _random_batch(rng, 16)
+    off = rng.uniform(-1.1, 1.1, (16, 3))
+    wg, bg, zg, _ = loss_gradients(p, z, pts, nrm, off, 0.5, 1e-4)
+    ana = np.concatenate([a.ravel() for pair in zip(wg, bg) for a in pair])
+    coords = rng.choice(ana.size, size=12, replace=False)
+    fd_p, fd_z = _fd_loss_grads(p, z, pts, nrm, off, 0.5, 1e-4, coords)
+    for i, fd in fd_p.items():
+        assert np.isclose(ana[i], fd, rtol=1e-4, atol=1e-8)
+    assert np.allclose(zg, fd_z, rtol=1e-4, atol=1e-8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdfshapes.errors import (BadMagic, DimensionMismatch, InvalidResolution,
-                              NonFiniteValue, TruncatedFile,
+                              NonFiniteValue, ShapeInconsistency, TruncatedFile,
                               UnsupportedVersion)
 from sdfshapes.field import FieldParams, forward
 from sdfshapes.isosurface import (ScalarGrid, eval_grid, load_grid,
@@ -225,6 +225,10 @@ def test_grid_truncated(tmp_path):
     save_grid(g, p)
     data = p.read_bytes()
     p2 = tmp_path / "cut.nsdg"
-    p2.write_bytes(data[:-16])
-    with pytest.raises(TruncatedFile):
+    for cut in (data[:-16], b"NSDG"):
+        p2.write_bytes(cut)
+        with pytest.raises(TruncatedFile):
+            load_grid(p2)
+    p2.write_bytes(data + b"\x00" * 8)
+    with pytest.raises(ShapeInconsistency):
         load_grid(p2)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfshapes.errors import (BadMagic, DegenerateMesh, IndexOutOfRange,
-                              InvalidCount, MeshParseError, TruncatedFile,
+                              InvalidCount, MeshParseError, NonFiniteValue,
+                              ShapeInconsistency, TruncatedFile,
                               UnsupportedVersion, ZeroArea)
 from sdfshapes.mesh import (SurfaceSampleSet, TriangleMesh, load_mesh,
                             load_sample_set, normalize_unit_ball,
@@ -264,8 +265,12 @@ def test_sample_set_truncated(tmp_path):
     save_sample_set(s, p)
     data = p.read_bytes()
     p2 = tmp_path / "cut.nsds"
-    p2.write_bytes(data[:len(data) - 8])
-    with pytest.raises(TruncatedFile):
+    for cut in (data[:len(data) - 8], b"NSDS\x01\x00"):
+        p2.write_bytes(cut)
+        with pytest.raises(TruncatedFile):
+            load_sample_set(p2)
+    p2.write_bytes(data + b"\x00")
+    with pytest.raises(ShapeInconsistency):
         load_sample_set(p2)
 
 
@@ -274,6 +279,15 @@ def test_sample_set_validate_rejects_bad_normals():
                           normals=[np.array([[1.0, 0, 0], [2.0, 0, 0]])])
     with pytest.raises(InvalidCount):
         ss.validate()
+
+
+def test_sample_set_validate_rejects_non_finite():
+    # NaN fails every comparison, so the range checks alone would pass it
+    for bad_point, bad_normal in ((np.nan, 1.0), (0.0, np.nan)):
+        ss = SurfaceSampleSet(points=[np.array([[bad_point, 0.0, 0.0]])],
+                              normals=[np.array([[bad_normal, 0.0, 0.0]])])
+        with pytest.raises(NonFiniteValue):
+            ss.validate()
 
 
 def test_mesh_validate_rejects_repeated_vertex():

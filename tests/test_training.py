@@ -27,6 +27,12 @@ def test_train_config_validation():
         TrainConfig(initial_lr=0.0)
     with pytest.raises(InvalidCount):
         TrainConfig(adam_beta1=1.0)
+    # integer fields must fit their checkpoint fields (u32, and u64 for seed)
+    for bad in ({"seed": -1}, {"seed": 2**64}, {"knn_k": 2**32},
+                {"epochs": 2**32}, {"lr_halving_period": 2**32},
+                {"latent_dim": 2**32}, {"surface_batch_size": 2**32}):
+        with pytest.raises(InvalidCount, match=next(iter(bad))):
+            TrainConfig(**bad)
 
 
 # ------------------------------------------------------------- local_sigmas
@@ -186,7 +192,7 @@ def _tiny_setup(epochs, n_shapes=2, seed=0):
 def test_train_zero_epochs_returns_initial_state():
     cfg, samples, arch = _tiny_setup(0)
     ck = train(cfg, samples, arch=arch)
-    ref = init_params(arch, cfg.seed, "geometric")
+    ref = init_params(arch, cfg.seed)
     for W, W0 in zip(ck.params.weights, ref.weights):
         assert np.array_equal(W, W0)
     expected_codes = np.random.default_rng([cfg.seed, 0]).normal(
