@@ -18,7 +18,7 @@ import numpy as np
 from . import cohort as cohort_mod
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .config import RunSettings, parse_config
-from .errors import InvalidCount, SdfShapesError
+from .errors import BadValue, InvalidCount, SdfShapesError
 from .mesh import (SurfaceSampleSet, load_mesh, load_sample_set,
                    normalize_unit_ball, sample_surface, save_mesh,
                    save_sample_set)
@@ -41,21 +41,25 @@ def _load_settings(config_path) -> RunSettings:
         return parse_config(fh.read())
 
 
+def _mesh_files(directory) -> list:
+    paths = [os.path.join(directory, f) for f in sorted(os.listdir(directory))
+             if f.lower().endswith(MESH_EXTENSIONS)]
+    if not paths:
+        raise SdfShapesError(f"no OBJ/PLY meshes in {directory}")
+    return paths
+
+
 def _cmd_sample(args) -> int:
-    files = sorted(f for f in os.listdir(args.input_dir)
-                   if f.lower().endswith(MESH_EXTENSIONS))
-    if not files:
-        raise SdfShapesError(f"no OBJ/PLY meshes in {args.input_dir}")
     out = SurfaceSampleSet(seed=args.seed)
-    for k, name in enumerate(files):
-        mesh = load_mesh(os.path.join(args.input_dir, name))
+    for k, path in enumerate(_mesh_files(args.input_dir)):
+        mesh = load_mesh(path)
         mesh, _ = normalize_unit_ball(mesh)
         s = sample_surface(mesh, args.points, (args.seed, k))
         out.points.append(s.points[0])
         out.normals.append(s.normals[0])
     out.validate()
     _atomic(lambda p: save_sample_set(out, p), args.out)
-    print(f"sampled {len(files)} shapes x {args.points} points -> {args.out}")
+    print(f"sampled {out.shape_count} shapes x {args.points} points -> {args.out}")
     return 0
 
 
@@ -73,29 +77,36 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _write_reconstruction(args, ck, code, what: str) -> int:
+    mesh = reconstruct_shape(ck, code, args.resolution, workers=args.workers)
+    _atomic(lambda p: save_mesh(mesh, p), args.out)
+    print(f"{what}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces -> {args.out}")
+    return 0
+
+
+def _parse_list(option: str, text: str, kind) -> list:
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise BadValue(f"{option} needs comma-separated {kind.__name__}s, got {text!r}")
+
+
 def _cmd_reconstruct(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     if not 0 <= args.shape_index < len(ck.codes):
         raise SdfShapesError(f"shape index {args.shape_index} outside "
                              f"[0, {len(ck.codes)})")
-    mesh = reconstruct_shape(ck, ck.codes[args.shape_index], args.resolution,
-                             workers=args.workers)
-    _atomic(lambda p: save_mesh(mesh, p), args.out)
-    print(f"reconstructed shape {args.shape_index}: {len(mesh.vertices)} "
-          f"vertices, {len(mesh.faces)} faces -> {args.out}")
-    return 0
+    return _write_reconstruction(args, ck, ck.codes[args.shape_index],
+                                 f"reconstructed shape {args.shape_index}")
 
 
 def _cmd_interpolate(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    indices = tuple(int(t) for t in args.indices.split(","))
-    alphas = np.array([float(t) for t in args.alphas.split(",")])
+    indices = tuple(_parse_list("--indices", args.indices, int))
+    alphas = np.array(_parse_list("--alphas", args.alphas, float))
     weights = cohort_mod.CombinationWeights(indices, alphas)
-    z = cohort_mod.combine_codes(ck.codes, weights)
-    mesh = reconstruct_shape(ck, z, args.resolution, workers=args.workers)
-    _atomic(lambda p: save_mesh(mesh, p), args.out)
-    print(f"interpolated {indices} with {alphas.tolist()} -> {args.out}")
-    return 0
+    return _write_reconstruction(args, ck, cohort_mod.combine_codes(ck.codes, weights),
+                                 f"interpolated {indices} with {alphas.tolist()}")
 
 
 def _cmd_generate(args) -> int:
@@ -123,9 +134,7 @@ def _cmd_evaluate_recon(args) -> int:
 
 
 def _cmd_evaluate_pairwise(args) -> int:
-    files = sorted(f for f in os.listdir(args.mesh_dir)
-                   if f.lower().endswith(MESH_EXTENSIONS))
-    meshes = [load_mesh(os.path.join(args.mesh_dir, f)) for f in files]
+    meshes = [load_mesh(path) for path in _mesh_files(args.mesh_dir)]
     report = cohort_mod.pairwise_report(meshes, args.eval_points, args.seed)
     report.to_csv(args.out)
     s = report.summary()

@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatch,
     TooFewMeshes,
 )
-from .isosurface import DEFAULT_HALFWIDTH, reconstruct_shape
+from .isosurface import reconstruct_shape
 from .mesh import SurfaceSampleSet, sample_surface, save_mesh
 
 DEFAULT_EVAL_POINTS = 30000
@@ -63,9 +63,6 @@ class CohortEntry:
 @dataclass
 class CohortManifest:
     entries: list = dc_field(default_factory=list)
-    interp_count: int = 0
-    resolution: int = 0
-    seed: int = 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -106,8 +103,7 @@ def combine_codes(codebook: np.ndarray, weights: CombinationWeights) -> np.ndarr
 
 
 def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
-                    resolution: int, out_dir=None,
-                    halfwidth: float = DEFAULT_HALFWIDTH):
+                    resolution: int, out_dir=None):
     """Generate shapes from random convex combinations of learned codes.
 
     For each shape, interp_count distinct rows are drawn uniformly and the
@@ -120,14 +116,13 @@ def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
         raise InvalidCount("count and interp_count must be >= 1")
     rng = np.random.default_rng(seed)
     meshes = []
-    manifest = CohortManifest(interp_count=interp_count,
-                              resolution=resolution, seed=seed)
+    manifest = CohortManifest()
     for i in range(count):
         idx = rng.choice(n, size=interp_count, replace=False)
         draws = rng.standard_exponential(interp_count)
         weights = CombinationWeights(tuple(int(j) for j in idx), draws / draws.sum())
         z = combine_codes(checkpoint.codes, weights)
-        mesh = reconstruct_shape(checkpoint, z, resolution, halfwidth)
+        mesh = reconstruct_shape(checkpoint, z, resolution)
         path = ""
         if out_dir is not None:
             path = os.path.join(str(out_dir), f"shape_{i:03d}.obj")
@@ -202,8 +197,7 @@ def _summary_path(path) -> str:
 
 def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
                           resolution: int, eval_points: int = DEFAULT_EVAL_POINTS,
-                          seed: int = 0,
-                          halfwidth: float = DEFAULT_HALFWIDTH) -> DistanceReport:
+                          seed: int = 0) -> DistanceReport:
     """Chamfer distance between each training shape's samples and its
     reconstruction from the learned code."""
     n = len(checkpoint.codes)
@@ -211,7 +205,7 @@ def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
         raise ShapeMismatch(f"{samples.shape_count} sample shapes vs {n} codes")
     labels, values = [], []
     for k in range(n):
-        mesh = reconstruct_shape(checkpoint, checkpoint.codes[k], resolution, halfwidth)
+        mesh = reconstruct_shape(checkpoint, checkpoint.codes[k], resolution)
         rec = sample_surface(mesh, eval_points, (seed, k, 1)).points[0]
         gt = samples.points[k]
         if len(gt) > eval_points:

@@ -2,14 +2,19 @@
 
 Grid values are stored as values[i, j, k] for the lattice point
 (x_i, y_j, z_k); serialization and cell traversal use x-fastest order.
-Extraction uses the classic 256-case tables with shared edge vertices, so
-the output is an indexed mesh.  A corner counts as inside when its value is
-below the iso level (negative-inside convention); triangle winding makes
-face normals point toward increasing field values.
+eval_grid's lattice is fixed at [-1.1, 1.1]^3 and is filled in block-aligned
+chunks of flat node indices.  Extraction uses the classic 256-case tables
+with shared edge vertices, so the output is an indexed mesh.  A corner counts
+as inside when its value is below the iso level (negative-inside convention);
+triangle winding makes face normals point toward increasing field values.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
+import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,19 +24,21 @@ import numpy as np
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    InvalidCount,
     InvalidResolution,
     NonFiniteValue,
     ShapeInconsistency,
     TruncatedFile,
     UnsupportedVersion,
 )
-from .field import FieldParams, forward
+from .field import _BLOCK, FieldParams, forward
 from .mc_tables import TRI_TABLE
 from .mesh import TriangleMesh
 
 GRID_MAGIC = b"NSDG"
 GRID_VERSION = 1
 DEFAULT_HALFWIDTH = 1.1
+_CHUNK = 16 * _BLOCK  # eval_grid's nodes per forward call: 16 padded blocks
 
 # Local cell edge b runs along _EDGE_AXIS[b] starting at cell corner offset
 # _EDGE_BASE[b]; used to give each cell edge a global, shared identity.
@@ -73,43 +80,50 @@ class ScalarGrid:
         return self.lower[axis] + self.spacing[axis] * np.arange(self.resolution)
 
 
-def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,
-              halfwidth: float = DEFAULT_HALFWIDTH,
-              workers: int = 1, slab_chunk: int = 1) -> ScalarGrid:
-    """Evaluate the field on a uniform cubic grid.
+def _one_blas_thread():
+    """eval_grid's pool initializer: run numpy's bundled OpenBLAS (numpy.libs
+    in pip wheels; nothing happens without it) single-threaded in this thread.
+    BLAS threads under each worker spin and contend, which made 4 workers
+    slower than 1 on 2 cores; GEMM output elements do not depend on the
+    thread count, so the values keep their bits."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            ctypes.CDLL(path).openblas_set_num_threads_local(1)
 
-    Work is dispatched per z-slab group; values are bitwise independent of
-    workers and slab_chunk because per-point evaluation is canonical.
+
+def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,
+              workers: int = 1) -> ScalarGrid:
+    """Evaluate the field on the R^3 lattice over [-DEFAULT_HALFWIDTH,
+    DEFAULT_HALFWIDTH]^3, walking flat node indices n of values (k fastest)
+    in chunks of _CHUNK nodes, so only the last forward call pads a partial
+    block.  workers > 1 maps the chunks over a thread pool whose threads
+    each run OpenBLAS single-threaded; values are bitwise independent of
+    workers because per-point evaluation is canonical.
     """
     if resolution < 2:
         raise InvalidResolution("grid resolution must be >= 2")
+    if workers < 1:
+        raise InvalidCount(f"workers must be >= 1, got {workers}")
     R = resolution
-    lower = np.full(3, -halfwidth)
-    upper = np.full(3, halfwidth)
-    coords = lower[0] + (upper[0] - lower[0]) / (R - 1) * np.arange(R)
-    xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    base = np.empty((R * R, 3), dtype=np.float64)
-    base[:, 0] = xx.ravel(order="F")  # x fastest within a slab
-    base[:, 1] = yy.ravel(order="F")
-    values = np.empty((R, R, R), dtype=np.float64)
+    grid = ScalarGrid(R, np.full(3, -DEFAULT_HALFWIDTH), np.full(3, DEFAULT_HALFWIDTH),
+                      np.empty((R, R, R), dtype=np.float64))
+    cx, cy, cz = (grid.axis_coords(axis) for axis in range(3))
+    flat = grid.values.reshape(-1)  # a view: writes land in grid.values
 
-    def do_slabs(k0: int):
-        k1 = min(k0 + slab_chunk, R)
-        pts = np.tile(base, (k1 - k0, 1))
-        pts[:, 2] = np.repeat(coords[k0:k1], R * R)
-        out = forward(params, z, pts)
-        for k in range(k0, k1):
-            values[:, :, k] = out[(k - k0) * R * R:(k - k0 + 1) * R * R] \
-                .reshape(R, R, order="F")
+    def do_chunk(n0: int):
+        n = np.arange(n0, min(n0 + _CHUNK, flat.size))
+        pts = np.stack([cx[n // (R * R)], cy[n // R % R], cz[n % R]], axis=1)
+        del n  # held across forward, it made malloc re-fault heap pages every block
+        flat[n0:n0 + len(pts)] = forward(params, z, pts)
 
-    starts = range(0, R, slab_chunk)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(do_slabs, starts))
+    starts = range(0, flat.size, _CHUNK)
+    if workers == 1:
+        list(map(do_chunk, starts))
     else:
-        for k0 in starts:
-            do_slabs(k0)
-    return ScalarGrid(R, lower, upper, values)
+        with ThreadPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            list(pool.map(do_chunk, starts))
+    return grid
 
 
 def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
@@ -179,15 +193,12 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
 
 
 def reconstruct_shape(checkpoint, code: np.ndarray, resolution: int,
-                      halfwidth: float = DEFAULT_HALFWIDTH,
                       workers: int = 1) -> TriangleMesh:
     """Evaluate the field for one latent code and mesh its zero-level set."""
-    if resolution < 2:
-        raise InvalidResolution("resolution must be >= 2")
     code = np.asarray(code, dtype=np.float64).ravel()
     if code.shape[0] != checkpoint.arch.latent_dim:
         raise DimensionMismatch("code dimension does not match the checkpoint")
-    grid = eval_grid(checkpoint.params, code, resolution, halfwidth, workers=workers)
+    grid = eval_grid(checkpoint.params, code, resolution, workers=workers)
     return marching_cubes(grid, 0.0)
 
 

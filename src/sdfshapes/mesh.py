@@ -199,6 +199,8 @@ def _parse_ply(text: str) -> TriangleMesh:
             if len(parts) < 2 or parts[1] != "ascii":
                 raise MeshParseError("only ascii PLY is supported", lineno)
         elif parts[0] == "element":
+            if len(parts) < 3 or not parts[2].isdecimal():
+                raise MeshParseError("element needs a name and a count >= 0", lineno)
             in_vertex_element = parts[1] == "vertex"
             if parts[1] == "vertex":
                 n_vertices = int(parts[2])

@@ -297,8 +297,8 @@ def test_criterion_8_grid_throughput(eight_sphere_model, capfd):
     with criterion("criterion 8 (256-cube grid evaluation throughput)", capfd):
         z = ck.codes[0]
         t0 = time.time()
-        par = eval_grid(ck.params, z, 256, workers=4, slab_chunk=8)
+        par = eval_grid(ck.params, z, 256, workers=4)
         elapsed = time.time() - t0
         assert elapsed <= 120.0
-        ser = eval_grid(ck.params, z, 256, workers=1, slab_chunk=8)
+        ser = eval_grid(ck.params, z, 256, workers=1)
         assert np.array_equal(par.values, ser.values)

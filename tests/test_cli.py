@@ -99,6 +99,30 @@ def test_interpolate_rejects_non_convex(pipeline, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_interpolate_rejects_unparsable_lists(pipeline, capsys):
+    root, _, _, _, ck = pipeline
+    for indices, alphas, option in (("a,1", "0.5,0.5", "--indices"),
+                                    ("0,1", "0.5,x", "--alphas")):
+        rc = main(["interpolate", "--checkpoint", str(ck), "--indices", indices,
+                   "--alphas", alphas, "--resolution", "16",
+                   "--out", str(root / "bad.obj")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and option in err
+
+
+def test_reconstruct_rejects_non_positive_workers(pipeline, capsys):
+    root, _, _, _, ck = pipeline
+    for workers in ("0", "-3"):
+        rc = main(["reconstruct", "--checkpoint", str(ck), "--shape-index", "0",
+                   "--resolution", "16", "--workers", workers,
+                   "--out", str(root / "w.obj")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers must be >= 1" in err
+    assert not (root / "w.obj").exists()
+
+
 def test_generate_command(pipeline):
     root, _, _, _, ck = pipeline
     out_dir = root / "cohort"

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from sdfshapes.errors import (BadMagic, DimensionMismatch, InvalidResolution,
-                              NonFiniteValue, ShapeInconsistency, TruncatedFile,
+from sdfshapes.errors import (BadMagic, DimensionMismatch, InvalidCount,
+                              InvalidResolution, NonFiniteValue,
+                              ShapeInconsistency, TruncatedFile,
                               UnsupportedVersion)
 from sdfshapes.field import FieldParams, forward
-from sdfshapes.isosurface import (ScalarGrid, eval_grid, load_grid,
+from sdfshapes.isosurface import (_CHUNK, ScalarGrid, eval_grid, load_grid,
                                   marching_cubes, reconstruct_shape, save_grid)
 
 from conftest import random_params, tiny_arch, tiny_checkpoint
@@ -57,7 +58,7 @@ def test_eval_grid_constant_network():
     p = FieldParams(arch, [np.zeros((dout, din)) for din, dout in arch.layer_dims()],
                     [np.zeros(dout) for _, dout in arch.layer_dims()])
     p.biases[-1][:] = 0.4
-    g = eval_grid(p, np.zeros(4), 5, halfwidth=1.0)
+    g = eval_grid(p, np.zeros(4), 5)
     assert (g.values == g.values.flat[0]).all()
 
 
@@ -65,20 +66,26 @@ def test_eval_grid_matches_direct_forward_bitwise():
     arch = tiny_arch(width=16)
     p = random_params(arch, 4)
     z = np.random.default_rng(0).normal(size=4) * 0.3
-    g = eval_grid(p, z, 7, halfwidth=1.1)
+    R = 33  # 35937 nodes: two whole chunks and a partial third
+    g = eval_grid(p, z, R)
+    assert np.array_equal(g.lower, [-1.1] * 3) and np.array_equal(g.upper, [1.1] * 3)
     cx = g.axis_coords(0)
-    for (i, j, k) in [(0, 0, 0), (3, 1, 6), (6, 6, 6), (2, 5, 4)]:
+    # both sides of every chunk boundary, the last node and an interior node
+    flat = [0, 3306, _CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, R ** 3 - 1]
+    assert 2 * _CHUNK < R ** 3 < 3 * _CHUNK
+    for n in flat:
+        i, j, k = np.unravel_index(n, (R, R, R))
         direct = forward(p, z, np.array([[cx[i], cx[j], cx[k]]]))[0]
         assert g.values[i, j, k] == direct
 
 
-def test_eval_grid_chunk_and_worker_invariance_bitwise():
+def test_eval_grid_worker_invariance_bitwise():
     arch = tiny_arch(width=16)
     p = random_params(arch, 6)
     z = np.zeros(4)
-    base = eval_grid(p, z, 17, workers=1, slab_chunk=1)
-    for workers, chunk in [(1, 5), (3, 2), (4, 7)]:
-        other = eval_grid(p, z, 17, workers=workers, slab_chunk=chunk)
+    base = eval_grid(p, z, 33, workers=1)  # three chunks, the last one partial
+    for workers in (2, 4):
+        other = eval_grid(p, z, 33, workers=workers)
         assert np.array_equal(base.values, other.values)
 
 
@@ -86,6 +93,9 @@ def test_eval_grid_resolution_error():
     p = random_params(tiny_arch(), 0)
     with pytest.raises(InvalidResolution):
         eval_grid(p, np.zeros(4), 1)
+    for workers in (0, -3):
+        with pytest.raises(InvalidCount, match="workers"):
+            eval_grid(p, np.zeros(4), 5, workers=workers)
 
 
 # ------------------------------------------------------------ marching_cubes
@@ -173,7 +183,7 @@ def test_mc_rejects_non_finite():
 def test_reconstruct_matches_explicit_composition_bitwise():
     ck = tiny_checkpoint()
     direct = reconstruct_shape(ck, ck.codes[0], 20)
-    grid = eval_grid(ck.params, ck.codes[0], 20, 1.1)
+    grid = eval_grid(ck.params, ck.codes[0], 20)
     ref = marching_cubes(grid, 0.0)
     assert np.array_equal(direct.vertices, ref.vertices)
     assert np.array_equal(direct.faces, ref.faces)

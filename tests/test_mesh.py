@@ -87,6 +87,18 @@ def test_ply_truncated_body(tmp_path):
         load_mesh(p)
 
 
+@pytest.mark.parametrize("element", ["element vertex x", "element vertex -1",
+                                     "element", "element vertex"])
+def test_ply_malformed_element_line(tmp_path, element):
+    p = tmp_path / "bad.ply"
+    p.write_text(f"ply\nformat ascii 1.0\n{element}\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "end_header\n")
+    with pytest.raises(MeshParseError) as info:
+        load_mesh(p)
+    assert info.value.line_number == 3
+
+
 # ---------------------------------------------------------------- save_mesh
 
 def test_save_load_roundtrip(tmp_path):
