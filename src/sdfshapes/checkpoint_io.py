@@ -1,160 +1,104 @@
-"""Bit-exact binary checkpoint container.
+"""Bit-exact binary checkpoint container (NSDF), framed by container.py.
 
-Single file, little-endian, float64 tensors.  Layout: magic, version,
-architecture block, shape count, per-layer weight/bias tensors, the
-codebook, a train-config echo, bookkeeping, and optionally the Adam state.
+After magic and u32 version: the architecture (u32 layer_count,
+hidden_width, latent_dim, skip_layer; f64 softplus_beta), u32 code count,
+each layer's f64 weight and bias, the codebook, the config record laid out
+by training.CONFIG_RECORD, u32 epochs_completed, u64 seed and a 0/1 byte
+that says whether the Adam state follows: u64 step_params, a u64 step
+count per code, each layer's (m_W, v_W, m_b, v_b) and the code moments.
+The reader also rejects flag bytes other than 0 or 1, and a layer count
+that the bytes left cannot hold, before it sizes any tensor.
 """
 
 from __future__ import annotations
 
-import os
-import struct
+import io
+from pathlib import Path
 
-import numpy as np
-
-from .errors import BadMagic, ShapeInconsistency, TruncatedFile, UnsupportedVersion
+from .container import Reader, Writer, write_atomic
+from .errors import ShapeInconsistency, TruncatedFile
 from .field import Architecture, FieldParams
-from .training import Checkpoint, OptimizerState, TrainConfig
+from .training import CONFIG_RECORD, Checkpoint, OptimizerState, TrainConfig
 
 CHECKPOINT_MAGIC = b"NSDF"
 CHECKPOINT_VERSION = 1
 
-_CONFIG_FMT = "<IdIddIdIddddIdQB"
-_CONFIG_FIELDS = ("epochs", "initial_lr", "lr_halving_period", "tau", "lam",
-                  "latent_dim", "code_init_std", "surface_batch_size",
-                  "offsurface_ratio", "adam_beta1", "adam_beta2", "adam_eps",
-                  "knn_k", "uniform_halfwidth", "seed", "squared_code_reg")
-
-
-class _Writer:
-    def __init__(self):
-        self.chunks = []
-
-    def pack(self, fmt, *vals):
-        self.chunks.append(struct.pack(fmt, *vals))
-
-    def tensor(self, arr):
-        self.chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-    def bytes(self) -> bytes:
-        return b"".join(self.chunks)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def unpack(self, fmt):
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.data):
-            raise TruncatedFile("checkpoint ends mid-record")
-        vals = struct.unpack_from(fmt, self.data, self.off)
-        self.off += size
-        return vals
-
-    def tensor(self, shape):
-        count = int(np.prod(shape))
-        size = count * 8
-        if self.off + size > len(self.data):
-            raise TruncatedFile("checkpoint ends inside a tensor")
-        arr = np.frombuffer(self.data, dtype="<f8", count=count,
-                            offset=self.off).reshape(shape).astype(np.float64)
-        self.off += size
-        return arr
+_CONFIG_FMT = "<" + "".join(code for _, code in CONFIG_RECORD)
+# every layer stores at least a 1x1 weight and a bias of 8 bytes each
+_MIN_LAYER_BYTES = 16
 
 
 def checkpoint_bytes(ck: Checkpoint) -> bytes:
     ck.validate()
-    w = _Writer()
-    w.chunks.append(CHECKPOINT_MAGIC)
-    w.pack("<I", CHECKPOINT_VERSION)
+    buf = io.BytesIO()
+    w = Writer(buf, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     a = ck.arch
     w.pack("<IIIId", a.layer_count, a.hidden_width, a.latent_dim,
            a.skip_layer, a.softplus_beta)
-    n = len(ck.codes)
-    w.pack("<I", n)
+    w.pack("<I", len(ck.codes))
     for W, b in zip(ck.params.weights, ck.params.biases):
-        w.tensor(W)
-        w.tensor(b)
-    w.tensor(ck.codes)
-    c = ck.config
-    w.pack(_CONFIG_FMT, c.epochs, c.initial_lr, c.lr_halving_period, c.tau,
-           c.lam, c.latent_dim, c.code_init_std, c.surface_batch_size,
-           c.offsurface_ratio, c.adam_beta1, c.adam_beta2, c.adam_eps,
-           c.knn_k, c.uniform_halfwidth, c.seed, int(c.squared_code_reg))
+        w.array(W)
+        w.array(b)
+    w.array(ck.codes)
+    w.pack(_CONFIG_FMT, *(getattr(ck.config, name) for name, _ in CONFIG_RECORD))
     w.pack("<IQ", ck.epochs_completed, ck.seed)
     opt = ck.optimizer
-    w.pack("<B", 0 if opt is None else 1)
+    w.pack("<B", opt is not None)
     if opt is not None:
         w.pack("<Q", opt.step_params)
-        w.chunks.append(np.ascontiguousarray(opt.step_codes, dtype="<u8").tobytes())
-        for mW, vW, mb, vb in zip(opt.m_weights, opt.v_weights,
-                                  opt.m_biases, opt.v_biases):
-            w.tensor(mW)
-            w.tensor(vW)
-            w.tensor(mb)
-            w.tensor(vb)
-        w.tensor(opt.m_codes)
-        w.tensor(opt.v_codes)
-    return w.bytes()
+        w.array(opt.step_codes, "<u8")
+        for moments in zip(opt.m_weights, opt.v_weights, opt.m_biases, opt.v_biases):
+            for m in moments:
+                w.array(m)
+        w.array(opt.m_codes)
+        w.array(opt.v_codes)
+    return buf.getvalue()
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
     data = checkpoint_bytes(ck)
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    write_atomic(lambda tmp: Path(tmp).write_bytes(data), path)
+
+
+def _flag(value: int, name: str) -> bool:
+    if value not in (0, 1):
+        raise ShapeInconsistency(f"checkpoint {name} byte is {value}, not 0 or 1")
+    return bool(value)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise BadMagic(f"not a checkpoint: magic {data[:4]!r}")
-    r = _Reader(data)
-    r.off = 4
-    (version,) = r.unpack("<I")
-    if version != CHECKPOINT_VERSION:
-        raise UnsupportedVersion(f"checkpoint version {version}")
-    layer_count, hidden_width, latent_dim, skip_layer, beta = r.unpack("<IIIId")
-    arch = Architecture(layer_count, hidden_width, latent_dim, skip_layer, beta)
+    r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    arch = Architecture(*r.unpack("<IIIId"))
     (n,) = r.unpack("<I")
+    if arch.layer_count * _MIN_LAYER_BYTES > r.left():
+        raise TruncatedFile(f"checkpoint is too short for {arch.layer_count} layers")
+    dims = arch.layer_dims()
     weights, biases = [], []
-    for din, dout in arch.layer_dims():
-        weights.append(r.tensor((dout, din)))
-        biases.append(r.tensor((dout,)))
+    for din, dout in dims:
+        weights.append(r.array((dout, din)))
+        biases.append(r.array((dout,)))
     params = FieldParams(arch, weights, biases)
-    codes = r.tensor((n, latent_dim))
-    cfg_vals = r.unpack(_CONFIG_FMT)
-    cfg_kwargs = dict(zip(_CONFIG_FIELDS, cfg_vals))
-    cfg_kwargs["squared_code_reg"] = bool(cfg_kwargs["squared_code_reg"])
-    config = TrainConfig(**cfg_kwargs)
+    codes = r.array((n, arch.latent_dim))
+    fields = zip(CONFIG_RECORD, r.unpack(_CONFIG_FMT))
+    config = TrainConfig(**{name: _flag(v, name) if code == "B" else v
+                            for (name, code), v in fields})
     epochs_completed, seed = r.unpack("<IQ")
-    (has_opt,) = r.unpack("<B")
     opt = None
-    if has_opt:
+    if _flag(*r.unpack("<B"), "optimizer"):
         (step_params,) = r.unpack("<Q")
-        size = n * 8
-        if r.off + size > len(data):
-            raise TruncatedFile("checkpoint ends inside step counts")
-        step_codes = np.frombuffer(data, dtype="<u8", count=n,
-                                   offset=r.off).astype(np.int64)
-        r.off += size
+        step_codes = r.array((n,), "<u8").astype("int64")
         m_w, v_w, m_b, v_b = [], [], [], []
-        for din, dout in arch.layer_dims():
-            m_w.append(r.tensor((dout, din)))
-            v_w.append(r.tensor((dout, din)))
-            m_b.append(r.tensor((dout,)))
-            v_b.append(r.tensor((dout,)))
-        m_codes = r.tensor((n, latent_dim))
-        v_codes = r.tensor((n, latent_dim))
+        for din, dout in dims:
+            m_w.append(r.array((dout, din)))
+            v_w.append(r.array((dout, din)))
+            m_b.append(r.array((dout,)))
+            v_b.append(r.array((dout,)))
+        m_codes = r.array((n, arch.latent_dim))
+        v_codes = r.array((n, arch.latent_dim))
         opt = OptimizerState(m_w, v_w, m_b, v_b, m_codes, v_codes,
                              step_params, step_codes)
-    if r.off != len(data):
-        raise ShapeInconsistency("trailing bytes after checkpoint payload")
-    if config.latent_dim != latent_dim:
+    r.finish()
+    if config.latent_dim != arch.latent_dim:
         raise ShapeInconsistency("config latent_dim disagrees with architecture")
     ck = Checkpoint(arch=arch, params=params, codes=codes, config=config,
                     epochs_completed=epochs_completed, seed=seed, optimizer=opt)

@@ -18,7 +18,8 @@ import numpy as np
 from . import cohort as cohort_mod
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .config import RunSettings, parse_config
-from .errors import BadValue, InvalidCount, SdfShapesError
+from .container import write_atomic
+from .errors import BadValue, InvalidCount, SdfShapesError, ZeroArea
 from .mesh import (SurfaceSampleSet, load_mesh, load_sample_set,
                    normalize_unit_ball, sample_surface, save_mesh,
                    save_sample_set)
@@ -26,12 +27,6 @@ from .isosurface import reconstruct_shape
 from .training import train
 
 MESH_EXTENSIONS = (".obj", ".ply")
-
-
-def _atomic(write_fn, path):
-    tmp = str(path) + ".tmp"
-    write_fn(tmp)
-    os.replace(tmp, path)
 
 
 def _load_settings(config_path) -> RunSettings:
@@ -58,7 +53,7 @@ def _cmd_sample(args) -> int:
         out.points.append(s.points[0])
         out.normals.append(s.normals[0])
     out.validate()
-    _atomic(lambda p: save_sample_set(out, p), args.out)
+    write_atomic(lambda p: save_sample_set(out, p), args.out)
     print(f"sampled {out.shape_count} shapes x {args.points} points -> {args.out}")
     return 0
 
@@ -79,7 +74,7 @@ def _cmd_train(args) -> int:
 
 def _write_reconstruction(args, ck, code, what: str) -> int:
     mesh = reconstruct_shape(ck, code, args.resolution, workers=args.workers)
-    _atomic(lambda p: save_mesh(mesh, p), args.out)
+    write_atomic(lambda p: save_mesh(mesh, p), args.out)
     print(f"{what}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces -> {args.out}")
     return 0
 
@@ -116,7 +111,7 @@ def _cmd_generate(args) -> int:
         ck, args.num, args.interp_count, args.seed, args.resolution,
         out_dir=args.out_dir)
     manifest_path = os.path.join(args.out_dir, "manifest.csv")
-    _atomic(manifest.to_csv, manifest_path)
+    write_atomic(manifest.to_csv, manifest_path)
     print(f"generated {args.num} shapes (m={args.interp_count}) in {args.out_dir}")
     return 0
 
@@ -134,7 +129,11 @@ def _cmd_evaluate_recon(args) -> int:
 
 
 def _cmd_evaluate_pairwise(args) -> int:
-    meshes = [load_mesh(path) for path in _mesh_files(args.mesh_dir)]
+    meshes = []
+    for path in _mesh_files(args.mesh_dir):
+        meshes.append(load_mesh(path))
+        if meshes[-1].area() <= 0.0:
+            raise ZeroArea(f"{path}: mesh has no positive-area triangles")
     report = cohort_mod.pairwise_report(meshes, args.eval_points, args.seed)
     report.to_csv(args.out)
     s = report.summary()

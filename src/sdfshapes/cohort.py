@@ -102,6 +102,13 @@ def combine_codes(codebook: np.ndarray, weights: CombinationWeights) -> np.ndarr
     return z
 
 
+def _reconstruct(checkpoint, z, resolution, label):
+    try:
+        return reconstruct_shape(checkpoint, z, resolution)
+    except EmptySet as exc:
+        raise EmptySet(f"{label}: {exc}") from None
+
+
 def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
                     resolution: int, out_dir=None):
     """Generate shapes from random convex combinations of learned codes.
@@ -122,7 +129,7 @@ def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
         draws = rng.standard_exponential(interp_count)
         weights = CombinationWeights(tuple(int(j) for j in idx), draws / draws.sum())
         z = combine_codes(checkpoint.codes, weights)
-        mesh = reconstruct_shape(checkpoint, z, resolution)
+        mesh = _reconstruct(checkpoint, z, resolution, f"cohort shape {i}")
         path = ""
         if out_dir is not None:
             path = os.path.join(str(out_dir), f"shape_{i:03d}.obj")
@@ -205,7 +212,7 @@ def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
         raise ShapeMismatch(f"{samples.shape_count} sample shapes vs {n} codes")
     labels, values = [], []
     for k in range(n):
-        mesh = reconstruct_shape(checkpoint, checkpoint.codes[k], resolution)
+        mesh = _reconstruct(checkpoint, checkpoint.codes[k], resolution, f"shape {k}")
         rec = sample_surface(mesh, eval_points, (seed, k, 1)).points[0]
         gt = samples.points[k]
         if len(gt) > eval_points:

@@ -50,6 +50,8 @@ class Architecture:
             raise DimensionMismatch("softplus_beta must be positive")
         if self.latent_dim < 1:
             raise DimensionMismatch("latent_dim must be >= 1")
+        if self.hidden_width < 1:
+            raise DimensionMismatch("hidden_width must be >= 1")
 
     @property
     def input_dim(self) -> int:

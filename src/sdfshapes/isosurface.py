@@ -15,21 +15,18 @@ import contextlib
 import ctypes
 import glob
 import os
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import Reader, Writer
 from .errors import (
-    BadMagic,
     DimensionMismatch,
+    EmptySet,
     InvalidCount,
     InvalidResolution,
     NonFiniteValue,
-    ShapeInconsistency,
-    TruncatedFile,
-    UnsupportedVersion,
 )
 from .field import _BLOCK, FieldParams, forward
 from .mc_tables import TRI_TABLE
@@ -194,40 +191,33 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
 
 def reconstruct_shape(checkpoint, code: np.ndarray, resolution: int,
                       workers: int = 1) -> TriangleMesh:
-    """Evaluate the field for one latent code and mesh its zero-level set."""
+    """Evaluate the field for one latent code and mesh its zero-level set;
+    EmptySet if that set has no face on the lattice."""
     code = np.asarray(code, dtype=np.float64).ravel()
     if code.shape[0] != checkpoint.arch.latent_dim:
         raise DimensionMismatch("code dimension does not match the checkpoint")
     grid = eval_grid(checkpoint.params, code, resolution, workers=workers)
-    return marching_cubes(grid, 0.0)
+    mesh = marching_cubes(grid, 0.0)
+    if not len(mesh.faces):
+        raise EmptySet(f"the zero set misses the [-{DEFAULT_HALFWIDTH}, "
+                       f"{DEFAULT_HALFWIDTH}]^3 lattice at resolution {resolution}")
+    return mesh
 
 
 def save_grid(grid: ScalarGrid, path) -> None:
+    """Binary container: magic, version, u32 resolution, lower and upper
+    corners, then the values with x fastest (LE float64)."""
     with open(path, "wb") as fh:
-        fh.write(GRID_MAGIC)
-        fh.write(struct.pack("<I", GRID_VERSION))
-        fh.write(struct.pack("<I", grid.resolution))
-        fh.write(np.concatenate([grid.lower, grid.upper]).astype("<f8").tobytes())
-        fh.write(grid.values.ravel(order="F").astype("<f8").tobytes())
+        w = Writer(fh, GRID_MAGIC, GRID_VERSION)
+        w.pack("<I", grid.resolution)
+        w.array(np.concatenate([grid.lower, grid.upper]))
+        w.array(grid.values.ravel(order="F"))
 
 
 def load_grid(path) -> ScalarGrid:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != GRID_MAGIC:
-        raise BadMagic(f"not a grid file: magic {data[:4]!r}")
-    if len(data) < 12:
-        raise TruncatedFile("grid file ends inside its header")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != GRID_VERSION:
-        raise UnsupportedVersion(f"grid version {version}")
-    (R,) = struct.unpack_from("<I", data, 8)
-    need = 12 + 6 * 8 + R * R * R * 8
-    if len(data) < need:
-        raise TruncatedFile("grid file is shorter than its header claims")
-    if len(data) > need:
-        raise ShapeInconsistency("trailing bytes after grid payload")
-    bounds = np.frombuffer(data, dtype="<f8", count=6, offset=12)
-    flat = np.frombuffer(data, dtype="<f8", count=R * R * R, offset=12 + 48)
-    values = flat.reshape((R, R, R), order="F").astype(np.float64)
-    return ScalarGrid(R, bounds[:3].copy(), bounds[3:].copy(), values)
+    r = Reader(path, GRID_MAGIC, GRID_VERSION, "grid")
+    (R,) = r.unpack("<I")
+    bounds = r.array((6,))
+    values = r.array((R * R * R,)).reshape((R, R, R), order="F")
+    r.finish()
+    return ScalarGrid(R, bounds[:3], bounds[3:], values)

@@ -7,22 +7,18 @@ even for non-watertight inputs.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import Reader, Writer
 from .errors import (
-    BadMagic,
     DegenerateMesh,
     EmptySurfaceSet,
     IndexOutOfRange,
     InvalidCount,
     MeshParseError,
     NonFiniteValue,
-    ShapeInconsistency,
-    TruncatedFile,
-    UnsupportedVersion,
     ZeroArea,
 )
 
@@ -186,7 +182,7 @@ def _parse_ply(text: str) -> TriangleMesh:
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise MeshParseError("missing 'ply' header", 1)
-    n_vertices = n_faces = 0
+    spans, rows = {}, 0  # element name -> (first body row, row count)
     vertex_props = []
     in_vertex_element = False
     body_start = None
@@ -201,11 +197,10 @@ def _parse_ply(text: str) -> TriangleMesh:
         elif parts[0] == "element":
             if len(parts) < 3 or not parts[2].isdecimal():
                 raise MeshParseError("element needs a name and a count >= 0", lineno)
+            # bodies list each element's rows in header order
+            spans[parts[1]] = (rows, int(parts[2]))
+            rows += int(parts[2])
             in_vertex_element = parts[1] == "vertex"
-            if parts[1] == "vertex":
-                n_vertices = int(parts[2])
-            elif parts[1] == "face":
-                n_faces = int(parts[2])
         elif parts[0] == "property" and in_vertex_element:
             vertex_props.append(parts[-1])
         elif parts[0] == "end_header":
@@ -218,24 +213,28 @@ def _parse_ply(text: str) -> TriangleMesh:
     except ValueError:
         raise MeshParseError("vertex element lacks x/y/z properties")
     body = lines[body_start:]
-    if len(body) < n_vertices + n_faces:
+    if len(body) < rows:
         raise MeshParseError("file ends before all elements are read")
+    # rows of elements other than vertex and face are skipped
+    v0, n_vertices = spans.get("vertex", (0, 0))
+    f0, n_faces = spans.get("face", (0, 0))
     vertices = np.empty((n_vertices, 3), dtype=np.float64)
     for i in range(n_vertices):
-        parts = body[i].split()
+        parts = body[v0 + i].split()
         try:
             vertices[i] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
         except (ValueError, IndexError):
-            raise MeshParseError(f"bad vertex row {body[i]!r}", body_start + 1 + i)
+            raise MeshParseError(f"bad vertex row {body[v0 + i]!r}",
+                                 body_start + 1 + v0 + i)
     faces = []
     for i in range(n_faces):
-        lineno = body_start + 1 + n_vertices + i
-        parts = body[n_vertices + i].split()
+        lineno = body_start + 1 + f0 + i
+        parts = body[f0 + i].split()
         try:
             cnt = int(parts[0])
             idx = [int(t) for t in parts[1:1 + cnt]]
         except (ValueError, IndexError):
-            raise MeshParseError(f"bad face row {body[n_vertices + i]!r}", lineno)
+            raise MeshParseError(f"bad face row {body[f0 + i]!r}", lineno)
         if cnt < 3 or len(idx) != cnt:
             raise MeshParseError("face needs at least 3 indices", lineno)
         for a, b in zip(idx[1:], idx[2:]):
@@ -303,43 +302,24 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSampleSe
 
 
 def save_sample_set(samples: SurfaceSampleSet, path) -> None:
-    """Binary container: magic, version, shape count, then per shape the
-    sample count followed by interleaved point/normal triples (LE float64)."""
+    """Binary container: magic, version, u32 shape count, then per shape a
+    u64 sample count and interleaved point/normal triples (LE float64)."""
     with open(path, "wb") as fh:
-        fh.write(SAMPLESET_MAGIC)
-        fh.write(struct.pack("<I", SAMPLESET_VERSION))
-        fh.write(struct.pack("<I", samples.shape_count))
+        w = Writer(fh, SAMPLESET_MAGIC, SAMPLESET_VERSION)
+        w.pack("<I", samples.shape_count)
         for p, n in zip(samples.points, samples.normals):
-            fh.write(struct.pack("<Q", len(p)))
-            interleaved = np.hstack([p, n]).astype("<f8")
-            fh.write(interleaved.tobytes())
+            w.pack("<Q", len(p))
+            w.array(np.hstack([p, n]))
 
 
 def load_sample_set(path) -> SurfaceSampleSet:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != SAMPLESET_MAGIC:
-        raise BadMagic(f"not a sample-set file: magic {data[:4]!r}")
-    if len(data) < 12:
-        raise TruncatedFile("sample-set ends inside its header")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != SAMPLESET_VERSION:
-        raise UnsupportedVersion(f"sample-set version {version}")
-    (n_shapes,) = struct.unpack_from("<I", data, 8)
-    off = 12
+    r = Reader(path, SAMPLESET_MAGIC, SAMPLESET_VERSION, "sample-set")
+    (n_shapes,) = r.unpack("<I")
     points, normals = [], []
     for _ in range(n_shapes):
-        if off + 8 > len(data):
-            raise TruncatedFile("sample-set ends inside a shape header")
-        (n,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        nbytes = n * 6 * 8
-        if off + nbytes > len(data):
-            raise TruncatedFile("sample-set ends inside sample data")
-        block = np.frombuffer(data, dtype="<f8", count=n * 6, offset=off).reshape(n, 6)
+        (n,) = r.unpack("<Q")
+        block = r.view((n, 6))
         points.append(block[:, :3].astype(np.float64))
         normals.append(block[:, 3:].astype(np.float64))
-        off += nbytes
-    if off != len(data):
-        raise ShapeInconsistency("trailing bytes after sample-set payload")
+    r.finish()
     return SurfaceSampleSet(points=points, normals=normals)

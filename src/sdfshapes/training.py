@@ -26,11 +26,14 @@ from .mesh import SurfaceSampleSet
 
 METRICS_HEADER = "epoch,mean_total,mean_surface,mean_normal,mean_eikonal,mean_codereg,lr"
 
-# Integer fields and their exclusive upper bounds: the widths of the u32 (I)
-# and u64 (Q) fields that store them in a checkpoint.
-_STORED_INT_LIMITS = {"epochs": 2**32, "lr_halving_period": 2**32,
-                      "latent_dim": 2**32, "surface_batch_size": 2**32,
-                      "knn_k": 2**32, "seed": 2**64}
+# TrainConfig's fields in checkpoint order, each with the struct code of the
+# field that stores it: I is u32, Q is u64, d is float64, B is a 0/1 byte.
+CONFIG_RECORD = (("epochs", "I"), ("initial_lr", "d"), ("lr_halving_period", "I"),
+                 ("tau", "d"), ("lam", "d"), ("latent_dim", "I"),
+                 ("code_init_std", "d"), ("surface_batch_size", "I"),
+                 ("offsurface_ratio", "d"), ("adam_beta1", "d"), ("adam_beta2", "d"),
+                 ("adam_eps", "d"), ("knn_k", "I"), ("uniform_halfwidth", "d"),
+                 ("seed", "Q"), ("squared_code_reg", "B"))
 
 
 @dataclass
@@ -63,8 +66,9 @@ class TrainConfig:
             raise InvalidCount("adam betas must lie in [0, 1)")
         if self.seed < 0:
             raise InvalidCount(f"seed must be >= 0, got {self.seed}")
-        for name, limit in _STORED_INT_LIMITS.items():
-            if getattr(self, name) >= limit:
+        for name, code in CONFIG_RECORD:
+            limit = 256 ** np.dtype(code).itemsize
+            if code in "IQ" and getattr(self, name) >= limit:
                 raise InvalidCount(f"{name} must be < {limit}, got {getattr(self, name)}")
 
 

@@ -220,3 +220,36 @@ def test_train_rejects_non_finite_samples(pipeline, capsys):
     assert _train_with(pipeline, "", samples=path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "shape 1: non-finite point or normal" in err
+
+
+def test_train_rejects_non_positive_hidden_width(pipeline, capsys):
+    for width in ("0", "-5"):
+        assert _train_with(pipeline, f"hidden_width = {width}\n") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "hidden_width must be >= 1" in err
+
+
+def test_empty_zero_set_fails_early_and_named(pipeline, capsys):
+    # at R = 2 the lattice is the 8 corners of [-1.1, 1.1]^3, all outside the shapes
+    root, meshes, samples, _, ck = pipeline
+    missed = "zero set misses the [-1.1, 1.1]^3 lattice at resolution 2"
+    out_dir = root / "empty_cohort"
+    assert main(["generate", "--checkpoint", str(ck), "--num", "2",
+                 "--interp-count", "1", "--resolution", "2",
+                 "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cohort shape 0:") and missed in err
+    assert not (out_dir / "shape_000.obj").exists()
+    assert main(["evaluate", "recon", "--checkpoint", str(ck), "--samples", str(samples),
+                 "--resolution", "2", "--out", str(root / "empty.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: shape 0:") and missed in err
+    mesh_dir = root / "with_empty"
+    mesh_dir.mkdir()
+    (mesh_dir / "a.obj").write_text((meshes / "a.obj").read_text())
+    (mesh_dir / "b.obj").write_text("")
+    assert main(["evaluate", "pairwise", "--mesh-dir", str(mesh_dir),
+                 "--out", str(root / "empty_pairs.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(mesh_dir / "b.obj") in err
+    assert "no positive-area triangles" in err

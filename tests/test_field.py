@@ -46,6 +46,9 @@ def test_architecture_validation():
         Architecture(softplus_beta=0.0)
     with pytest.raises(DimensionMismatch):
         Architecture(latent_dim=0)
+    for width in (0, -5):
+        with pytest.raises(DimensionMismatch, match="hidden_width"):
+            Architecture(hidden_width=width)
 
 
 def test_params_flatten_roundtrip():

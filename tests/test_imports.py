@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and only
+container.py packs or unpacks bytes."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,32 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def byte_framing(source: str):
+    """Lines that import struct or call frombuffer."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if "struct" in names or "frombuffer" in names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_framing_detector():
+    source = ("import os\nimport struct\nfrom struct import pack\n"
+              "import numpy as np\nx = np.frombuffer(b'', 'u1')\ny = np.zeros(1)\n")
+    assert byte_framing(source) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "container.py"], ids=lambda p: p.name)
+def test_only_container_frames_bytes(path):
+    assert byte_framing(path.read_text(encoding="utf-8")) == []

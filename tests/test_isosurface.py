@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdfshapes.errors import (BadMagic, DimensionMismatch, InvalidCount,
+from sdfshapes.errors import (BadMagic, DimensionMismatch, EmptySet, InvalidCount,
                               InvalidResolution, NonFiniteValue,
                               ShapeInconsistency, TruncatedFile,
                               UnsupportedVersion)
@@ -203,6 +203,9 @@ def test_reconstruct_errors():
         reconstruct_shape(ck, ck.codes[0], 1)
     with pytest.raises(DimensionMismatch):
         reconstruct_shape(ck, np.zeros(9), 16)
+    # the sphere-like zero set lies between the 8 corners of an R = 2 lattice
+    with pytest.raises(EmptySet, match=r"\[-1.1, 1.1\]\^3 lattice at resolution 2"):
+        reconstruct_shape(ck, ck.codes[0], 2)
 
 
 # ----------------------------------------------------------- grid container

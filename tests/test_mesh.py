@@ -99,6 +99,21 @@ def test_ply_malformed_element_line(tmp_path, element):
     assert info.value.line_number == 3
 
 
+@pytest.mark.parametrize("order", [("vertex", "edge", "face"), ("vertex", "face", "edge")])
+def test_ply_rows_follow_header_element_order(tmp_path, order):
+    header = {"vertex": "element vertex 3\nproperty float x\nproperty float y\n"
+                        "property float z\n",
+              "edge": "element edge 1\nproperty int vertex1\nproperty int vertex2\n",
+              "face": "element face 1\nproperty list uchar int vertex_indices\n"}
+    rows = {"vertex": "0 0 0\n1 0 0\n0 1 0\n", "edge": "0 1\n", "face": "3 0 1 2\n"}
+    p = tmp_path / "edge.ply"
+    p.write_text("ply\nformat ascii 1.0\n" + "".join(header[e] for e in order)
+                 + "end_header\n" + "".join(rows[e] for e in order))
+    m = load_mesh(p)
+    assert np.array_equal(m.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert np.array_equal(m.faces, [[0, 1, 2]])
+
+
 # ---------------------------------------------------------------- save_mesh
 
 def test_save_load_roundtrip(tmp_path):
