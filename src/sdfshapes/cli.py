@@ -45,7 +45,7 @@ def _mesh_files(directory) -> list:
 
 
 def _cmd_sample(args) -> int:
-    out = SurfaceSampleSet(seed=args.seed)
+    out = SurfaceSampleSet()
     for k, path in enumerate(_mesh_files(args.input_dir)):
         mesh = load_mesh(path)
         mesh, _ = normalize_unit_ball(mesh)

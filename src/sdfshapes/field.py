@@ -8,8 +8,10 @@ The training loss penalizes the field value and normal mismatch on surface
 samples, deviation of the spatial gradient from unit norm off the surface,
 and the latent code norm.  Because the loss contains the spatial gradient,
 its parameter gradient needs second-order terms; these are computed exactly
-with a tangent (forward-mode) pass through the network followed by a reverse
-sweep over both the primal and tangent computations.
+in four sweeps: the forward sweep, the field's reverse sweep (which gives the
+spatial gradient and df/du for every layer input u), a tangent (forward-mode)
+pass, and a reverse sweep over the primal and tangent computations whose
+tangent adjoint is that same df/du.
 """
 
 from __future__ import annotations
@@ -224,38 +226,34 @@ def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_trace(params: FieldParams, c: np.ndarray):
-    """Forward sweep keeping per-layer inputs, the softplus slopes of the
-    hidden layers and the field values."""
-    us, as_ = zip(*_layers(params, c))
-    beta = params.arch.softplus_beta
-    phi1 = [softplus_d1(a, beta) for a in as_[:-1]]
-    return us, phi1, as_[-1][:, 0]
+def _trace(params: FieldParams, c: np.ndarray):
+    """Forward sweep, then the field's reverse sweep, per batch row.
 
-
-def _input_gradient(params: FieldParams, phi1, rows: int):
-    """Reverse sweep: d(output)/d(concatenated input), per batch row, from
-    the hidden-layer slopes phi1 of a forward trace."""
+    Returns the layer inputs u_j, the softplus slopes of the hidden layers,
+    the field values, the spatial gradient and the adjoints df/du_j of every
+    layer input."""
     arch = params.arch
     H = arch.hidden_width
-    cbar = np.zeros((rows, arch.input_dim), dtype=np.float64)
+    us, as_ = zip(*_layers(params, c))
+    phi1 = [softplus_d1(a, arch.softplus_beta) for a in as_[:-1]]
+    cbar = np.zeros((len(c), arch.input_dim), dtype=np.float64)
     W = params.weights[-1]
-    ubar = np.broadcast_to(W[0], (rows, W.shape[1]))  # d(output)/d(u) of the last layer
+    ubar = np.broadcast_to(W[0], (len(c), W.shape[1]))  # df/du of the last layer
+    ubars = [ubar]
     for j in range(arch.layer_count - 1, 0, -1):
         if j == arch.skip_layer:
             cbar += ubar[:, H:]
             ubar = ubar[:, :H]
         ubar = (ubar * phi1[j - 1]) @ params.weights[j - 1]
+        ubars.append(ubar)
     cbar += ubar
-    return cbar
+    return us, phi1, as_[-1][:, 0], cbar[:, arch.latent_dim:], ubars[::-1]
 
 
 def spatial_gradient(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Exact derivative of the field with respect to the query point."""
-    c = _concat_input(params.arch, z, xs)
-    _, phi1, _ = _forward_trace(params, c)
-    cbar = _input_gradient(params, phi1, len(c))
-    return cbar[:, params.arch.latent_dim:]
+    _, _, _, g, _ = _trace(params, _concat_input(params.arch, z, xs))
+    return g
 
 
 def _breakdown(y_s, g_s, normals, g_o, z, tau, lam, squared_code_reg):
@@ -283,14 +281,10 @@ def shape_loss(params: FieldParams, z: np.ndarray,
     surface_normals = np.asarray(surface_normals, dtype=np.float64)
     if surface_points.shape != surface_normals.shape:
         raise DimensionMismatch("surface points and normals must align")
-    c_s = _concat_input(params.arch, z, surface_points)
-    _, phi1, y_s = _forward_trace(params, c_s)
-    g_s = _input_gradient(params, phi1, len(c_s))[:, params.arch.latent_dim:]
+    _, _, y_s, g_s, _ = _trace(params, _concat_input(params.arch, z, surface_points))
     g_o = None
     if offsurface_points is not None and len(offsurface_points) > 0:
-        c_o = _concat_input(params.arch, z, np.asarray(offsurface_points, dtype=np.float64))
-        _, phi1_o, _ = _forward_trace(params, c_o)
-        g_o = _input_gradient(params, phi1_o, len(c_o))[:, params.arch.latent_dim:]
+        g_o = spatial_gradient(params, z, offsurface_points)
     z = np.asarray(z, dtype=np.float64).ravel()
     return _breakdown(y_s, g_s, surface_normals, g_o, z, tau, lam, squared_code_reg)
 
@@ -302,6 +296,9 @@ def loss_gradients(params: FieldParams, z: np.ndarray,
                    squared_code_reg: bool = False):
     """Exact gradients of the total loss w.r.t. all parameters and the code.
 
+    Four sweeps over the network: _trace's forward and reverse sweeps, a
+    tangent pass along dL/dg, and one reverse sweep over the primal and
+    tangent computations, which takes its tangent adjoint from the trace.
     Returns (weight_grads, bias_grads, z_grad, LossBreakdown).  Subgradients
     at the kinks are zero: d|f|/df = 0 at f = 0 and d||z||/dz = 0 at z = 0.
     """
@@ -325,12 +322,8 @@ def loss_gradients(params: FieldParams, z: np.ndarray,
         Mo = 0
     B = pts.shape[0]
 
-    c = _concat_input(arch, z, pts)
-    us, phi1, y = _forward_trace(params, c)
+    us, phi1, y, g, dfdu = _trace(params, _concat_input(arch, z, pts))
     phi2 = [beta * s * (1.0 - s) for s in phi1]  # softplus'' from softplus'
-
-    # reverse sweep for the spatial gradient of every row
-    g = _input_gradient(params, phi1, B)[:, d:]
 
     y_s, g_s = y[:Ns], g[:Ns]
     g_o = g[Ns:] if Mo else None
@@ -362,28 +355,25 @@ def loss_gradients(params: FieldParams, z: np.ndarray,
         if j < L - 1:
             hdot = phi1[j] * adot
 
-    # reverse sweep over primal + tangent computations
-    w_grads = [np.zeros_like(W) for W in params.weights]
-    b_grads = [np.zeros_like(b) for b in params.biases]
+    # reverse sweep over primal + tangent computations; the tangent output is
+    # df/du_j . udot_j at every layer j, so its adjoint for udot_j is the
+    # trace's df/du_j
+    w_grads, b_grads = [], []
     cbar = np.zeros((B, arch.input_dim))
     abar = cy[:, None]
     adotbar = np.ones((B, 1))
     for j in range(L - 1, -1, -1):
-        w_grads[j] = abar.T @ us[j] + adotbar.T @ udots[j]
-        b_grads[j] = abar.sum(axis=0)
+        w_grads.append(abar.T @ us[j] + adotbar.T @ udots[j])
+        b_grads.append(abar.sum(axis=0))
         ubar = abar @ params.weights[j]
-        udotbar = adotbar @ params.weights[j]
         if j == 0:
             cbar += ubar
             break
+        hdotbar = dfdu[j]
         if j == arch.skip_layer:
-            hbar = ubar[:, :H]
             cbar += ubar[:, H:]
-            hdotbar = udotbar[:, :H]
-        else:
-            hbar = ubar
-            hdotbar = udotbar
-        abar = hbar * phi1[j - 1] + hdotbar * phi2[j - 1] * adots[j - 1]
+            ubar, hdotbar = ubar[:, :H], hdotbar[:, :H]
+        abar = ubar * phi1[j - 1] + hdotbar * phi2[j - 1] * adots[j - 1]
         adotbar = hdotbar * phi1[j - 1]
 
     z_grad = cbar[:, :d].sum(axis=0)
@@ -392,4 +382,4 @@ def loss_gradients(params: FieldParams, z: np.ndarray,
         z_grad = z_grad + lam * 2.0 * z
     elif znorm > 0:
         z_grad = z_grad + lam * z / znorm
-    return w_grads, b_grads, z_grad, breakdown
+    return w_grads[::-1], b_grads[::-1], z_grad, breakdown

@@ -103,8 +103,12 @@ def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,
     if workers < 1:
         raise InvalidCount(f"workers must be >= 1, got {workers}")
     R = resolution
-    grid = ScalarGrid(R, np.full(3, -DEFAULT_HALFWIDTH), np.full(3, DEFAULT_HALFWIDTH),
-                      np.empty((R, R, R), dtype=np.float64))
+    try:
+        values = np.empty((R, R, R), dtype=np.float64)
+    except (MemoryError, ValueError):  # ValueError: R^3 overflows numpy's array size
+        raise InvalidResolution(f"grid resolution {R} needs {8 * R ** 3} bytes "
+                                "for its values, more than can be allocated") from None
+    grid = ScalarGrid(R, np.full(3, -DEFAULT_HALFWIDTH), np.full(3, DEFAULT_HALFWIDTH), values)
     cx, cy, cz = (grid.axis_coords(axis) for axis in range(3))
     flat = grid.values.reshape(-1)  # a view: writes land in grid.values
 

@@ -89,13 +89,11 @@ class NormalizationTransform:
 class SurfaceSampleSet:
     """Per-shape surface point and unit-normal samples.
 
-    points[k] and normals[k] are aligned (N_k, 3) arrays.  The seed records
-    how the samples were drawn; it is not part of the on-disk container.
+    points[k] and normals[k] are aligned (N_k, 3) arrays.
     """
 
     points: list = field(default_factory=list)
     normals: list = field(default_factory=list)
-    seed: int = 0
 
     @property
     def shape_count(self) -> int:
@@ -117,25 +115,16 @@ class SurfaceSampleSet:
         return self
 
 
-def load_mesh(path, fmt: str | None = None) -> TriangleMesh:
-    """Load an ASCII OBJ or ASCII PLY mesh.
+def load_mesh(path) -> TriangleMesh:
+    """Load an ASCII PLY mesh (a .ply suffix, any case) or else an ASCII OBJ.
 
     Quadrilaterals (and larger polygons) are fan-triangulated at their first
     vertex.  Vertex order is preserved from the file.
     """
     path = str(path)
-    if fmt is None:
-        fmt = "ply" if path.lower().endswith(".ply") else "obj"
-    fmt = fmt.lower()
+    parse = _parse_ply if path.lower().endswith(".ply") else _parse_obj
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "obj":
-        mesh = _parse_obj(text)
-    elif fmt == "ply":
-        mesh = _parse_ply(text)
-    else:
-        raise MeshParseError(f"unsupported format {fmt!r}")
-    return mesh.validate()
+        return parse(fh.read()).validate()
 
 
 def _parse_obj(text: str) -> TriangleMesh:
@@ -172,10 +161,8 @@ def _parse_obj(text: str) -> TriangleMesh:
             for a, b in zip(idx[1:], idx[2:]):
                 faces.append([idx[0], a, b])
         # every other record type (vn, vt, o, g, s, mtllib, ...) is ignored
-    mesh = TriangleMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
+    return TriangleMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3),
                         np.array(faces, dtype=np.int64).reshape(-1, 3))
-    _check_face_range(mesh)
-    return mesh
 
 
 def _parse_ply(text: str) -> TriangleMesh:
@@ -239,16 +226,7 @@ def _parse_ply(text: str) -> TriangleMesh:
             raise MeshParseError("face needs at least 3 indices", lineno)
         for a, b in zip(idx[1:], idx[2:]):
             faces.append([idx[0], a, b])
-    mesh = TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
-    _check_face_range(mesh)
-    return mesh
-
-
-def _check_face_range(mesh: TriangleMesh):
-    if len(mesh.faces) and (mesh.faces.min() < 0 or mesh.faces.max() >= len(mesh.vertices)):
-        raise IndexOutOfRange(
-            f"face references vertex outside [0, {len(mesh.vertices)})"
-        )
+    return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
 def save_mesh(mesh: TriangleMesh, path) -> None:
@@ -298,7 +276,7 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSampleSe
     bary = np.stack([1.0 - su, su * (1.0 - v), su * v], axis=1)
     tri = mesh.vertices[mesh.faces[face_idx]]  # (count, 3, 3)
     points = np.einsum("nij,ni->nj", tri, bary)
-    return SurfaceSampleSet(points=[points], normals=[normals[face_idx]], seed=seed)
+    return SurfaceSampleSet(points=[points], normals=[normals[face_idx]])
 
 
 def save_sample_set(samples: SurfaceSampleSet, path) -> None:

@@ -68,13 +68,12 @@ def sphere_samples(radius: float, count: int, seed) -> SurfaceSampleSet:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((count, 3))
     normals = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return SurfaceSampleSet(points=[radius * normals], normals=[normals],
-                            seed=seed if isinstance(seed, int) else 0)
+    return SurfaceSampleSet(points=[radius * normals], normals=[normals])
 
 
 def multi_sphere_samples(radii, count_per_shape: int, seed: int) -> SurfaceSampleSet:
     """One sphere shape per radius, each independently sampled."""
-    out = SurfaceSampleSet(seed=seed)
+    out = SurfaceSampleSet()
     for k, r in enumerate(radii):
         s = sphere_samples(r, count_per_shape, (seed, k))
         out.points.append(s.points[0])

@@ -81,6 +81,16 @@ def test_reconstruct_bad_index(pipeline, capsys):
     assert err.startswith("error:") and "\n" not in err
 
 
+def test_reconstruct_unallocatable_resolution(pipeline, capsys):
+    # a 7.1 PiB grid: the allocation fails at once
+    root, _, _, _, ck = pipeline
+    assert main(["reconstruct", "--checkpoint", str(ck), "--shape-index", "0",
+                 "--resolution", "100000", "--out", str(root / "huge.obj")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid resolution 100000 needs" in err
+    assert not (root / "huge.obj").exists()
+
+
 def test_interpolate_command(pipeline):
     root, _, _, _, ck = pipeline
     out = root / "mid.obj"

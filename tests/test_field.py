@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdfshapes.errors import DimensionMismatch
 from sdfshapes.field import (Architecture, FieldParams, forward, init_params,
-                             loss_gradients, shape_loss, softplus,
+                             loss_gradients, shape_loss, softplus, softplus_d1,
                              spatial_gradient)
 
 from conftest import linear_field, random_params, tiny_arch
@@ -377,3 +377,123 @@ def test_skip_into_output_layer_gradients_match_fd():
     for i, fd in fd_p.items():
         assert np.isclose(ana[i], fd, rtol=1e-4, atol=1e-8)
     assert np.allclose(zg, fd_z, rtol=1e-4, atol=1e-8)
+
+
+def _two_sweep_loss_gradients(params, z, pts_s, nrm, off, tau, lam, squared_code_reg):
+    """Reference kernel: a forward trace, the field's reverse sweep for the
+    spatial gradient, a tangent pass, then a reverse sweep that carries its
+    own tangent adjoint (udotbar = adotbar @ W) beside the primal one."""
+    arch = params.arch
+    beta, d, H, L = arch.softplus_beta, arch.latent_dim, arch.hidden_width, arch.layer_count
+    Ns, Mo = len(pts_s), 0 if off is None else len(off)
+    pts = np.vstack([pts_s, off]) if Mo else pts_s
+    B = len(pts)
+    c = np.empty((B, d + 3))
+    c[:, :d] = z
+    c[:, d:] = pts
+    us, as_, h = [], [], c
+    for j, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if j == arch.skip_layer:
+            h = np.concatenate([h, c], axis=1)
+        a = h @ W.T
+        a += b
+        us.append(h)
+        as_.append(a)
+        if j < L - 1:
+            h = softplus(a, beta)
+    phi1 = [softplus_d1(a, beta) for a in as_[:-1]]
+    phi2 = [beta * s * (1.0 - s) for s in phi1]
+    y = as_[-1][:, 0]
+    gbar = np.zeros((B, d + 3))
+    W = params.weights[-1]
+    ubar = np.broadcast_to(W[0], (B, W.shape[1]))
+    for j in range(L - 1, 0, -1):
+        if j == arch.skip_layer:
+            gbar += ubar[:, H:]
+            ubar = ubar[:, :H]
+        ubar = (ubar * phi1[j - 1]) @ params.weights[j - 1]
+    gbar += ubar
+    g = gbar[:, d:]
+    y_s, g_s, g_o = y[:Ns], g[:Ns], g[Ns:]
+    eikonal = float(np.mean((np.linalg.norm(g_o, axis=1) - 1.0) ** 2)) if Mo else 0.0
+    znorm = float(np.linalg.norm(z))
+    terms = [float(np.mean(np.abs(y_s))), float(np.mean(np.sum((g_s - nrm) ** 2, axis=1))),
+             eikonal, znorm ** 2 if squared_code_reg else znorm]
+    terms.append(terms[0] + terms[1] + tau * terms[2] + lam * terms[3])
+
+    cy = np.zeros(B)
+    cy[:Ns] = np.sign(y_s) / Ns
+    v = np.zeros((B, 3))
+    v[:Ns] = 2.0 * (g_s - nrm) / Ns
+    if Mo:
+        gn = np.linalg.norm(g_o, axis=1)
+        safe = gn > 0
+        coef = np.zeros(Mo)
+        coef[safe] = tau * 2.0 * (gn[safe] - 1.0) / (gn[safe] * Mo)
+        v[Ns:] = coef[:, None] * g_o
+    cdot = np.zeros((B, d + 3))
+    cdot[:, d:] = v
+    udots, adots, hdot = [], [], cdot
+    for j in range(L):
+        if j == arch.skip_layer:
+            hdot = np.concatenate([hdot, cdot], axis=1)
+        udots.append(hdot)
+        adots.append(hdot @ params.weights[j].T)
+        if j < L - 1:
+            hdot = phi1[j] * adots[j]
+
+    w_grads = [np.zeros_like(W) for W in params.weights]
+    b_grads = [np.zeros_like(b) for b in params.biases]
+    cbar = np.zeros((B, d + 3))
+    abar = cy[:, None]
+    adotbar = np.ones((B, 1))
+    for j in range(L - 1, -1, -1):
+        w_grads[j] = abar.T @ us[j] + adotbar.T @ udots[j]
+        b_grads[j] = abar.sum(axis=0)
+        ubar = abar @ params.weights[j]
+        udotbar = adotbar @ params.weights[j]
+        if j == 0:
+            cbar += ubar
+            break
+        if j == arch.skip_layer:
+            hbar = ubar[:, :H]
+            cbar += ubar[:, H:]
+            hdotbar = udotbar[:, :H]
+        else:
+            hbar = ubar
+            hdotbar = udotbar
+        abar = hbar * phi1[j - 1] + hdotbar * phi2[j - 1] * adots[j - 1]
+        adotbar = hdotbar * phi1[j - 1]
+    z_grad = cbar[:, :d].sum(axis=0)
+    if squared_code_reg:
+        z_grad = z_grad + lam * 2.0 * z
+    elif znorm > 0:
+        z_grad = z_grad + lam * z / znorm
+    return w_grads, b_grads, z_grad, terms
+
+
+@st.composite
+def _architectures(draw):
+    layers = draw(st.integers(1, 5))
+    skip = 1 if layers == 1 else draw(st.integers(1, layers - 1))  # includes L - 1
+    return tiny_arch(latent_dim=draw(st.sampled_from([1, 3, 8])),
+                     width=draw(st.integers(1, 12)), layers=layers, skip=skip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_architectures(), st.integers(0, 2**31 - 1), st.integers(1, 9),
+       st.integers(-1, 9), st.booleans())
+def test_loss_gradients_bitwise_equal_to_two_sweep_reference(arch, seed, n_surf, n_off,
+                                                             squared_code_reg):
+    rng = np.random.default_rng(seed)
+    p = random_params(arch, seed)
+    z = rng.normal(size=arch.latent_dim) * 0.3
+    pts, nrm = _random_batch(rng, n_surf)
+    off = None if n_off < 0 else rng.uniform(-1.1, 1.1, (n_off, 3))  # n_off = 0: empty batch
+    wg, bg, zg, bd = loss_gradients(p, z, pts, nrm, off, 0.5, 1e-3, squared_code_reg)
+    rw, rb, rz, terms = _two_sweep_loss_gradients(p, z, pts, nrm, off, 0.5, 1e-3,
+                                                  squared_code_reg)
+    for got, ref in zip(wg + bg + [zg], rw + rb + [rz]):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert [bd.surface_term, bd.normal_term, bd.eikonal_term, bd.code_reg_term,
+            bd.total] == terms

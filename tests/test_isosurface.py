@@ -96,6 +96,10 @@ def test_eval_grid_resolution_error():
     for workers in (0, -3):
         with pytest.raises(InvalidCount, match="workers"):
             eval_grid(p, np.zeros(4), 5, workers=workers)
+    # 7.1 PiB, and 8e21 bytes past numpy's size limit: both fail at once
+    for R, size in ((100_000, "8000000000000000"), (10**7, "8000000000000000000000")):
+        with pytest.raises(InvalidResolution, match=f"resolution {R} needs {size} bytes"):
+            eval_grid(p, np.zeros(4), R)
 
 
 # ------------------------------------------------------------ marching_cubes

@@ -32,6 +32,16 @@ def test_obj_face_index_out_of_range(tmp_path):
         load_mesh(p)
 
 
+def test_ply_face_index_out_of_range(tmp_path):
+    p = tmp_path / "bad.PLY"  # the suffix picks the parser in any case
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "element face 1\nproperty list uchar int vertex_indices\n"
+                 "end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n")
+    with pytest.raises(IndexOutOfRange):
+        load_mesh(p)
+
+
 def test_cube_fixture_area(cube_obj_path):
     m = load_mesh(cube_obj_path)
     assert len(m.vertices) == 8 and len(m.faces) == 12
@@ -256,7 +266,7 @@ def test_sample_counts_proportional_to_area(seed, count):
 
 def test_sample_set_roundtrip(tmp_path):
     m = uv_sphere_mesh(0.9, 8, 10)
-    ss = SurfaceSampleSet(seed=4)
+    ss = SurfaceSampleSet()
     for k in range(3):
         s = sample_surface(m, 100 + 17 * k, seed=(4, k))
         ss.points.append(s.points[0])
