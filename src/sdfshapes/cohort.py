@@ -146,8 +146,13 @@ def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("chamfer distance needs nonempty point sets")
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
+    return _chamfer(a, cKDTree(a), b, cKDTree(b))
+
+
+def _chamfer(a: np.ndarray, tree_a, b: np.ndarray, tree_b) -> float:
+    """chamfer_distance of point sets a and b, given a KD-tree of each."""
+    d_ab, _ = tree_b.query(a)
+    d_ba, _ = tree_a.query(b)
     return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
 
 
@@ -226,14 +231,15 @@ def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
 def pairwise_report(meshes, eval_points: int = DEFAULT_EVAL_POINTS,
                     seed: int = 0) -> DistanceReport:
     """Chamfer distance for every unordered mesh pair; each mesh is sampled
-    once and its point set reused across all of its pairs."""
+    once, and its point set and KD-tree are reused across all of its pairs."""
     if len(meshes) < 2:
         raise TooFewMeshes("pairwise report needs at least 2 meshes")
     clouds = [sample_surface(m, eval_points, (seed, i)).points[0]
               for i, m in enumerate(meshes)]
+    trees = [cKDTree(c) for c in clouds]
     labels, values = [], []
     for i in range(len(meshes)):
         for j in range(i + 1, len(meshes)):
             labels.append(f"{i}-{j}")
-            values.append(chamfer_distance(clouds[i], clouds[j]))
+            values.append(_chamfer(clouds[i], trees[i], clouds[j], trees[j]))
     return DistanceReport(labels, np.array(values))

@@ -2,11 +2,13 @@
 
 Grid values are stored as values[i, j, k] for the lattice point
 (x_i, y_j, z_k); serialization and cell traversal use x-fastest order.
-eval_grid's lattice is fixed at [-1.1, 1.1]^3 and is filled in block-aligned
-chunks of flat node indices.  Extraction uses the classic 256-case tables
-with shared edge vertices, so the output is an indexed mesh.  A corner counts
-as inside when its value is below the iso level (negative-inside convention);
-triangle winding makes face normals point toward increasing field values.
+The lattice is fixed at [-1.1, 1.1]^3.  eval_grid evaluates every node;
+reconstruct_shape evaluates only the nodes near the zero set, coarse to
+fine, and each node it evaluates gets eval_grid's bits.  Extraction uses the
+classic 256-case tables with shared edge vertices, so the output is an
+indexed mesh.  A corner counts as inside when its value is below the iso
+level (negative-inside convention); triangle winding makes face normals
+point toward increasing field values.
 """
 
 from __future__ import annotations
@@ -35,7 +37,14 @@ from .mesh import TriangleMesh
 GRID_MAGIC = b"NSDG"
 GRID_VERSION = 1
 DEFAULT_HALFWIDTH = 1.1
-_CHUNK = 16 * _BLOCK  # eval_grid's nodes per forward call: 16 padded blocks
+_CHUNK = 16 * _BLOCK  # lattice nodes per forward call: 16 padded blocks
+_COARSE_STRIDE = 16  # the narrow band's first sub-lattice
+_MARGIN = 2.0  # the band's L, over the steepest slope seen on that sub-lattice
+# reconstruct_shape's peak bytes per lattice node, reached in marching_cubes:
+# float64 values 8, inside mask 1, int32 case index 4 and the int64 shift of
+# the mask that fills it 8, plus the active-cell masks (22.0 traced at R = 160;
+# the band's own peak is 18.7 there)
+_EXTRACT_BYTES_PER_NODE = 22
 
 # Local cell edge b runs along _EDGE_AXIS[b] starting at cell corner offset
 # _EDGE_BASE[b]; used to give each cell edge a global, shared identity.
@@ -78,52 +87,198 @@ class ScalarGrid:
 
 
 def _one_blas_thread():
-    """eval_grid's pool initializer: run numpy's bundled OpenBLAS (numpy.libs
-    in pip wheels; nothing happens without it) single-threaded in this thread.
-    BLAS threads under each worker spin and contend, which made 4 workers
-    slower than 1 on 2 cores; GEMM output elements do not depend on the
-    thread count, so the values keep their bits."""
+    """Pool initializer for the lattice walk: run numpy's bundled OpenBLAS
+    (numpy.libs in pip wheels; nothing happens without it) single-threaded
+    in this thread.  BLAS threads under each worker spin and contend, which
+    made 4 workers slower than 1 on 2 cores.  The values keep their bits
+    because the GEMM shapes forward runs gave the same output elements at
+    every thread count measured; that is not true of GEMM in general (the
+    skip layer's weight-gradient product in loss_gradients changes bits
+    with the OpenBLAS thread count)."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in glob.glob(os.path.join(libs, "*openblas*")):
         with contextlib.suppress(OSError, AttributeError):
             ctypes.CDLL(path).openblas_set_num_threads_local(1)
 
 
-def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,
-              workers: int = 1) -> ScalarGrid:
-    """Evaluate the field on the R^3 lattice over [-DEFAULT_HALFWIDTH,
-    DEFAULT_HALFWIDTH]^3, walking flat node indices n of values (k fastest)
-    in chunks of _CHUNK nodes, so only the last forward call pads a partial
-    block.  workers > 1 maps the chunks over a thread pool whose threads
-    each run OpenBLAS single-threaded; values are bitwise independent of
-    workers because per-point evaluation is canonical.
-    """
+def _physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
+
+
+def _lattice(resolution: int, workers: int, bytes_per_node: int,
+             purpose: str) -> ScalarGrid:
+    """An all-zero grid over [-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH]^3, once
+    the arguments check out and the caller's peak need, bytes_per_node per
+    lattice node, fits in physical memory."""
     if resolution < 2:
         raise InvalidResolution("grid resolution must be >= 2")
     if workers < 1:
         raise InvalidCount(f"workers must be >= 1, got {workers}")
     R = resolution
+    need, phys = bytes_per_node * R ** 3, _physical_memory()
+    if phys is not None and need > phys:
+        raise InvalidResolution(f"grid resolution {R} needs {need} bytes {purpose}, "
+                                f"more than the {phys} bytes of physical memory")
     try:
-        values = np.empty((R, R, R), dtype=np.float64)
+        values = np.zeros((R, R, R), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: R^3 overflows numpy's array size
         raise InvalidResolution(f"grid resolution {R} needs {8 * R ** 3} bytes "
                                 "for its values, more than can be allocated") from None
-    grid = ScalarGrid(R, np.full(3, -DEFAULT_HALFWIDTH), np.full(3, DEFAULT_HALFWIDTH), values)
-    cx, cy, cz = (grid.axis_coords(axis) for axis in range(3))
+    return ScalarGrid(R, np.full(3, -DEFAULT_HALFWIDTH), np.full(3, DEFAULT_HALFWIDTH), values)
+
+
+def _eval_nodes(params: FieldParams, z: np.ndarray, grid: ScalarGrid, nodes,
+                workers: int) -> None:
+    """Write the field at lattice nodes into grid.values: `nodes` holds flat
+    indices n of values (k fastest), or is None for every node in order.
+    They are walked in chunks of _CHUNK nodes, so only a chunk's last forward
+    block is padded; workers > 1 maps the chunks over a thread pool whose
+    threads each run OpenBLAS single-threaded.  Values are bitwise
+    independent of the chunking and of workers because per-point evaluation
+    is canonical."""
+    R = grid.resolution
+    coords = grid.axis_coords(0)
     flat = grid.values.reshape(-1)  # a view: writes land in grid.values
+    total = flat.size if nodes is None else len(nodes)
 
-    def do_chunk(n0: int):
-        n = np.arange(n0, min(n0 + _CHUNK, flat.size))
-        pts = np.stack([cx[n // (R * R)], cy[n // R % R], cz[n % R]], axis=1)
+    def do_chunk(c0: int):
+        if nodes is None:
+            at = slice(c0, min(c0 + _CHUNK, total))
+            n = np.arange(at.start, at.stop)
+        else:
+            at = n = nodes[c0:c0 + _CHUNK]
+        pts = np.stack([coords[n // (R * R)], coords[n // R % R], coords[n % R]], axis=1)
         del n  # held across forward, it made malloc re-fault heap pages every block
-        flat[n0:n0 + len(pts)] = forward(params, z, pts)
+        flat[at] = forward(params, z, pts)
 
-    starts = range(0, flat.size, _CHUNK)
+    starts = range(0, total, _CHUNK)
     if workers == 1:
         list(map(do_chunk, starts))
     else:
         with ThreadPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
             list(pool.map(do_chunk, starts))
+
+
+def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,
+              workers: int = 1) -> ScalarGrid:
+    """Evaluate the field on every node of the R^3 lattice over
+    [-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH]^3 (see _eval_nodes)."""
+    grid = _lattice(resolution, workers, 8, "for its values")
+    _eval_nodes(params, z, grid, None, workers)
+    return grid
+
+
+def _axis(resolution: int, stride: int) -> np.ndarray:
+    """Lattice indices of the stride-s nodes on one axis: the multiples of s
+    below R, plus R - 1."""
+    return np.unique(np.append(np.arange(0, resolution, stride), resolution - 1))
+
+
+def _corner_views(a: np.ndarray) -> list:
+    """For an (n+1)^3 node array, the (n)^3 views of its cells' 8 corners."""
+    n = a.shape[0] - 1
+    return [a[dx:dx + n, dy:dy + n, dz:dz + n] for dx, dy, dz in _CORNER_OFFSETS]
+
+
+def _corners_of(cells: np.ndarray) -> np.ndarray:
+    """Node mask of every corner of the marked cells."""
+    n = cells.shape[0]
+    nodes = np.zeros((n + 1,) * 3, dtype=bool)
+    for view in _corner_views(nodes):
+        view |= cells
+    return nodes
+
+
+def _eval_marked(params: FieldParams, z: np.ndarray, grid: ScalarGrid,
+                 known: np.ndarray, ax: np.ndarray, marked: np.ndarray,
+                 workers: int) -> int:
+    """Evaluate the nodes of the sub-lattice ax x ax x ax that are marked and
+    not yet known, and mark them known; return how many there were."""
+    R, m = grid.resolution, len(ax)
+    n = np.flatnonzero(marked & ~known[np.ix_(ax, ax, ax)])
+    nodes = (ax[n // (m * m)] * R + ax[n // m % m]) * R + ax[n % m]
+    del n
+    _eval_nodes(params, z, grid, nodes, workers)
+    known.reshape(-1)[nodes] = True
+    return len(nodes)
+
+
+def _unfinished(inside: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Lattice cells whose corners straddle the zero set but are not all
+    known."""
+    any_in = np.zeros(np.subtract(inside.shape, 1), dtype=bool)
+    all_in = np.ones_like(any_in)
+    all_known = np.ones_like(any_in)
+    for vi, vk in zip(_corner_views(inside), _corner_views(known)):
+        any_in |= vi
+        all_in &= vi
+        all_known &= vk
+    any_in &= ~all_in
+    any_in &= ~all_known
+    return any_in
+
+
+def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
+               workers: int) -> ScalarGrid:
+    """The lattice eval_grid fills, evaluated coarse to fine near the zero
+    set only; every other node holds -1 or +1, the sign of the pruned cell
+    it lies in.
+
+    Level s has the nodes _axis(R, s) per axis and the cells between them;
+    cell k of level s splits into cells 2k and 2k + 1 of level s/2.  The
+    first level has stride _COARSE_STRIDE, halved until it has at least
+    three whole cells per axis.  Its node values give the margin L:
+    _MARGIN times the steepest slope between adjacent nodes.  A cell whose
+    corners share one sign and all lie further than L times its diagonal
+    from zero is pruned; the nodes of the next level in the other cells are
+    evaluated, down to stride 1.  Last, any lattice cell whose corners
+    straddle the zero set but include a placeholder gets its missing
+    corners evaluated, until there is none: every cell that emits triangles
+    then has the dense values at all 8 corners.
+    """
+    grid = _lattice(resolution, workers, _EXTRACT_BYTES_PER_NODE, "to extract its mesh")
+    R = resolution
+    known = np.zeros((R, R, R), dtype=bool)
+    s = _COARSE_STRIDE
+    while s > 1 and R - 1 < 3 * s:
+        s //= 2
+    cell = np.zeros((-(-(R - 1) // s),) * 3, dtype=np.int8)  # 0: refine, -1/+1: pruned
+    margin = None
+    while True:
+        ax = _axis(R, s)
+        _eval_marked(params, z, grid, known, ax, _corners_of(cell == 0), workers)
+        if s == 1:
+            break
+        V = grid.values[np.ix_(ax, ax, ax)]
+        gap = np.diff(ax) * grid.spacing[0]
+        if margin is None:
+            slopes = [np.abs(np.moveaxis(np.diff(V, axis=k), k, -1)) / gap for k in range(3)]
+            margin = _MARGIN * max(np.max(t) for t in slopes)
+        reach = margin * np.sqrt(gap[:, None, None] ** 2 + gap[None, :, None] ** 2
+                                 + gap[None, None, :] ** 2)
+        near = np.full(cell.shape, np.inf)
+        n_in = np.zeros(cell.shape, dtype=np.int8)
+        for v in _corner_views(V):
+            np.minimum(near, np.abs(v), out=near)
+            n_in += v < 0
+        prune = (cell == 0) & (near > reach) & ((n_in == 0) | (n_in == 8))
+        cell[prune] = np.where(n_in[prune] == 8, -1, 1)
+        s //= 2
+        m = -(-(R - 1) // s)
+        cell = cell.repeat(2, 0).repeat(2, 1).repeat(2, 2)[:m, :m, :m]
+    # ax now lists every node; node n takes the sign of lattice cell
+    # min(n, R - 2) on each axis
+    at = np.minimum(ax, R - 2)
+    np.copyto(grid.values, cell.take(at, 0).take(at, 1).take(at, 2), where=~known)
+    del cell
+    while _eval_marked(params, z, grid, known, ax,
+                       _corners_of(_unfinished(grid.values < 0, known)), workers):
+        pass
     return grid
 
 
@@ -135,8 +290,8 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     R = grid.resolution
     inside = vals < iso
     cube_idx = np.zeros((R - 1, R - 1, R - 1), dtype=np.int32)
-    for b, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
-        cube_idx |= inside[dx:dx + R - 1, dy:dy + R - 1, dz:dz + R - 1] << b
+    for b, corner in enumerate(_corner_views(inside)):
+        cube_idx |= corner << b
     ci, cj, ck = np.nonzero((cube_idx != 0) & (cube_idx != 255))
     if len(ci) == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
@@ -195,12 +350,15 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
 
 def reconstruct_shape(checkpoint, code: np.ndarray, resolution: int,
                       workers: int = 1) -> TriangleMesh:
-    """Evaluate the field for one latent code and mesh its zero-level set;
-    EmptySet if that set has no face on the lattice."""
+    """Mesh the zero-level set of the field for one latent code on
+    eval_grid's lattice, evaluating the field only near that set (see
+    _band_grid); EmptySet if the set has no face on the lattice.
+    InvalidResolution if the extraction's peak memory would exceed
+    physical memory."""
     code = np.asarray(code, dtype=np.float64).ravel()
     if code.shape[0] != checkpoint.arch.latent_dim:
         raise DimensionMismatch("code dimension does not match the checkpoint")
-    grid = eval_grid(checkpoint.params, code, resolution, workers=workers)
+    grid = _band_grid(checkpoint.params, code, resolution, workers)
     mesh = marching_cubes(grid, 0.0)
     if not len(mesh.faces):
         raise EmptySet(f"the zero set misses the [-{DEFAULT_HALFWIDTH}, "

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from sdfshapes.errors import EmptySet
 from sdfshapes.field import Architecture, FieldParams, init_params
+from sdfshapes.isosurface import eval_grid, marching_cubes, reconstruct_shape
 from sdfshapes.training import Checkpoint, TrainConfig
 
 
@@ -43,6 +45,22 @@ def tiny_checkpoint(n_codes=5, seed=3, latent_dim=4, width=32, epochs=0):
                       surface_batch_size=32, seed=seed)
     return Checkpoint(arch=arch, params=params, codes=codes, config=cfg,
                       epochs_completed=0, seed=seed).validate()
+
+
+def assert_band_equals_dense(checkpoint, z, resolution):
+    """reconstruct_shape's narrow-band mesh, with 1 and 3 workers, has the
+    bytes of marching cubes on the dense grid (EmptySet where that is
+    empty)."""
+    ref = marching_cubes(eval_grid(checkpoint.params, z, resolution))
+    for workers in (1, 3):
+        if not len(ref.faces):
+            with pytest.raises(EmptySet):
+                reconstruct_shape(checkpoint, z, resolution, workers=workers)
+            continue
+        mesh = reconstruct_shape(checkpoint, z, resolution, workers=workers)
+        for got, want in ((mesh.vertices, ref.vertices), (mesh.faces, ref.faces)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 CUBE_OBJ = """\

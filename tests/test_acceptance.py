@@ -21,12 +21,13 @@ from sdfshapes.cohort import (chamfer_distance, combine_codes,
                               pairwise_report, reconstruction_report)
 from sdfshapes.field import (Architecture, FieldParams, forward,
                              loss_gradients, shape_loss, spatial_gradient)
+from sdfshapes import isosurface
 from sdfshapes.isosurface import ScalarGrid, eval_grid, marching_cubes
 from sdfshapes.isosurface import reconstruct_shape
 from sdfshapes.primitives import multi_sphere_samples, sphere_samples
 from sdfshapes.training import TrainConfig, train
 
-from conftest import CUBE_OBJ, random_params, tiny_arch
+from conftest import CUBE_OBJ, assert_band_equals_dense, random_params, tiny_arch
 
 EIGHT_RADII = [0.30 + 0.05 * k for k in range(8)]
 
@@ -221,6 +222,44 @@ def test_criterion_5_multi_shape_auto_decoder(eight_sphere_model, capfd):
         mesh = reconstruct_shape(ck, z, 64)
         mean_radius = float(np.linalg.norm(mesh.vertices, axis=1).mean())
         assert 0.32 < mean_radius < 0.63
+
+
+def _closed_genus_zero(mesh):
+    """(every edge is in exactly two faces, V - E + F == 2)."""
+    f = mesh.faces
+    edges = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+    _, counts = np.unique(edges, axis=0, return_counts=True)
+    return bool((counts == 2).all()), len(mesh.vertices) - len(counts) + len(f) == 2
+
+
+def test_fixture_reconstructions_are_closed_spheres(eight_sphere_model):
+    ck, _ = eight_sphere_model
+    blend = combine_codes(ck.codes, CombinationWeights((0, 7), np.array([0.5, 0.5])))
+    for z in (ck.codes[0], ck.codes[7], blend):
+        assert _closed_genus_zero(reconstruct_shape(ck, z, 64)) == (True, True)
+
+
+def test_band_mesh_bitwise_equal_to_dense_on_fixture(eight_sphere_model):
+    ck, _ = eight_sphere_model
+    blend = combine_codes(ck.codes, CombinationWeights(
+        (1, 3, 4, 6), np.array([0.1, 0.2, 0.3, 0.4])))
+    for R in (40, 64, 128):
+        for z in (ck.codes[0], ck.codes[7], blend):
+            assert_band_equals_dense(ck, z, R)
+
+
+def test_band_evaluates_under_a_quarter_of_the_lattice(eight_sphere_model, monkeypatch):
+    ck, _ = eight_sphere_model
+    points = []
+
+    def counting_forward(params, z, xs):
+        points.append(len(xs))
+        return forward(params, z, xs)
+
+    monkeypatch.setattr(isosurface, "forward", counting_forward)
+    R = 128
+    reconstruct_shape(ck, ck.codes[0], R)
+    assert 0 < sum(points) < R ** 3 / 4
 
 
 # ------------------------------------------------------------- criterion 6

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
+from sdfshapes import cohort
 from sdfshapes.cohort import (CohortManifest, CombinationWeights,
                               DistanceReport, chamfer_distance, combine_codes,
                               generate_cohort, pairwise_report,
@@ -226,6 +228,24 @@ def test_pairwise_pair_counts():
     r4 = pairwise_report(meshes, eval_points=300, seed=0)
     assert len(r4.values) == 6
     assert r4.labels == ["0-1", "0-2", "0-3", "1-2", "1-3", "2-3"]
+
+
+def test_pairwise_one_tree_per_cloud_same_bits(monkeypatch):
+    meshes = [uv_sphere_mesh(0.3 + 0.1 * i, 6, 8) for i in range(5)]
+    clouds = [sample_surface(m, 300, (7, i)).points[0] for i, m in enumerate(meshes)]
+    builds = []
+
+    def counting_tree(points):
+        builds.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr(cohort, "cKDTree", counting_tree)
+    report = pairwise_report(meshes, eval_points=300, seed=7)
+    assert builds == [300] * 5
+    monkeypatch.undo()
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    want = [chamfer_distance(clouds[i], clouds[j]) for i, j in pairs]
+    assert report.values.tobytes() == np.array(want).tobytes()
 
 
 def test_pairwise_too_few():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdfshapes import isosurface
 from sdfshapes.errors import (BadMagic, DimensionMismatch, EmptySet, InvalidCount,
                               InvalidResolution, NonFiniteValue,
                               ShapeInconsistency, TruncatedFile,
@@ -11,7 +12,8 @@ from sdfshapes.field import FieldParams, forward
 from sdfshapes.isosurface import (_CHUNK, ScalarGrid, eval_grid, load_grid,
                                   marching_cubes, reconstruct_shape, save_grid)
 
-from conftest import random_params, tiny_arch, tiny_checkpoint
+from conftest import (assert_band_equals_dense, random_params, tiny_arch,
+                      tiny_checkpoint)
 
 
 def sphere_grid(R, radius=0.6, half=1.0):
@@ -185,12 +187,11 @@ def test_mc_rejects_non_finite():
 # -------------------------------------------------------- reconstruct_shape
 
 def test_reconstruct_matches_explicit_composition_bitwise():
+    # the narrow band against marching cubes on the dense grid
     ck = tiny_checkpoint()
-    direct = reconstruct_shape(ck, ck.codes[0], 20)
-    grid = eval_grid(ck.params, ck.codes[0], 20)
-    ref = marching_cubes(grid, 0.0)
-    assert np.array_equal(direct.vertices, ref.vertices)
-    assert np.array_equal(direct.faces, ref.faces)
+    for R in (2, 3, 16, 20, 33, 40, 64):
+        for z in ck.codes:
+            assert_band_equals_dense(ck, z, R)
 
 
 def test_reconstruct_untrained_geometric_init_is_sphere_like():
@@ -210,6 +211,39 @@ def test_reconstruct_errors():
     # the sphere-like zero set lies between the 8 corners of an R = 2 lattice
     with pytest.raises(EmptySet, match=r"\[-1.1, 1.1\]\^3 lattice at resolution 2"):
         reconstruct_shape(ck, ck.codes[0], 2)
+
+
+# ---------------------------------------------------------------- narrow band
+
+def test_band_follows_the_surface_out_of_pruned_cells(monkeypatch):
+    # with no margin only cells whose corners change sign are refined, so
+    # crossing lattice cells lie in pruned cells; the closing sweep must
+    # evaluate them all and still give the dense mesh
+    monkeypatch.setattr(isosurface, "_MARGIN", 0.0)
+    ck = tiny_checkpoint()
+    for R in (40, 64):
+        assert_band_equals_dense(ck, ck.codes[0], R)
+
+
+def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):
+    ck = tiny_checkpoint()
+    phys = isosurface._physical_memory()
+    if phys is not None:  # the smallest R whose extraction exceeds this machine
+        R = int(round((phys / 22) ** (1 / 3)))
+        while 22 * R ** 3 <= phys:
+            R += 1
+        with pytest.raises(InvalidResolution,
+                           match=f"resolution {R} needs {22 * R ** 3} bytes to extract"):
+            reconstruct_shape(ck, ck.codes[0], R)
+    # a machine of 22 * 64^3 - 1 bytes: values alone fit, extraction does not
+    monkeypatch.setattr(isosurface, "_physical_memory", lambda: 22 * 64 ** 3 - 1)
+    with pytest.raises(InvalidResolution, match="resolution 64 needs 5767168 bytes to "
+                       "extract its mesh, more than the 5767167 bytes of physical memory"):
+        reconstruct_shape(ck, ck.codes[0], 64)
+    monkeypatch.setattr(isosurface, "_physical_memory", lambda: 8 * 64 ** 3 - 1)
+    with pytest.raises(InvalidResolution, match="resolution 64 needs 2097152 bytes for "
+                       "its values, more than the 2097151 bytes of physical memory"):
+        eval_grid(ck.params, ck.codes[0], 64)
 
 
 # ----------------------------------------------------------- grid container
