@@ -1,0 +1,51 @@
+"""Running a block of code with numpy's bundled OpenBLAS single-threaded.
+
+The elements of a GEMM product can depend on OpenBLAS's thread count: the
+skip layer's weight-gradient product in loss_gradients changes bits with it,
+so training runs single-threaded and its seeded results do not depend on the
+machine's core count or OPENBLAS_NUM_THREADS.  The forward shapes measured
+give the same bits at every thread count; the lattice walk's pool threads
+run single-threaded so they share the cores instead of contending with
+BLAS's own threads.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+
+import numpy as np
+
+
+@functools.cache
+def _set_threads():
+    """`openblas_set_num_threads_local` of the OpenBLAS that numpy bundles
+    (numpy.libs in pip wheels), or None where there is none.  It returns
+    the count it replaces; in pthreads builds the count is process-wide."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            fn = ctypes.CDLL(path).openblas_set_num_threads_local
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = ctypes.c_int
+            return fn
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS single-threaded, then restore the old
+    count.  Does nothing where numpy bundles no OpenBLAS: BLAS then uses
+    whatever thread count its own settings give.  Also a decorator."""
+    set_threads = _set_threads()
+    if set_threads is None:
+        yield
+        return
+    old = set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)

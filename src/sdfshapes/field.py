@@ -11,7 +11,8 @@ its parameter gradient needs second-order terms; these are computed exactly
 in four sweeps: the forward sweep, the field's reverse sweep (which gives the
 spatial gradient and df/du for every layer input u), a tangent (forward-mode)
 pass, and a reverse sweep over the primal and tangent computations whose
-tangent adjoint is that same df/du.
+tangent adjoint is that same df/du.  The forward sweep takes one exp per
+hidden layer: it gives both the softplus value and its slope.
 """
 
 from __future__ import annotations
@@ -128,26 +129,24 @@ class LossBreakdown:
     lam: float
 
 
-def softplus(t: np.ndarray, beta: float) -> np.ndarray:
-    # max(t, 0) + log1p(exp(-|beta t|)) / beta in one buffer: the same operations
-    # in the same order (|beta t| == beta |t| exactly), with 2 allocations, not 8
+def softplus(t: np.ndarray, beta: float, slopes: list | None = None) -> np.ndarray:
+    """max(t, 0) + log1p(exp(-|beta t|)) / beta, overflow-safe.
+
+    Given a list `slopes`, also appends the slope sigmoid(beta t), derived
+    from the same e = exp(-beta |t|) with no mask: 1 / (1 + e) where t >= 0,
+    e / (1 + e) elsewhere.  beta |t| == |beta t| exactly, so both outputs
+    have the bits of the textbook formulas."""
+    # one buffer for the value: 2 allocations, not 8
     out = np.abs(t)
     out *= -beta
     np.exp(out, out=out)
+    if slopes is not None:
+        slope = np.where(t >= 0, 1.0, out)
+        slope /= 1.0 + out
+        slopes.append(slope)
     np.log1p(out, out=out)
     out /= beta
     out += np.maximum(t, 0.0)
-    return out
-
-
-def softplus_d1(t: np.ndarray, beta: float) -> np.ndarray:
-    # logistic sigmoid of beta*t, overflow-safe
-    bt = beta * t
-    out = np.empty_like(bt)
-    pos = bt >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-bt[pos]))
-    e = np.exp(bt[~pos])
-    out[~pos] = e / (1.0 + e)
     return out
 
 
@@ -193,10 +192,11 @@ def _concat_input(arch: Architecture, z: np.ndarray, xs: np.ndarray) -> np.ndarr
     return c
 
 
-def _layers(params: FieldParams, c: np.ndarray):
+def _layers(params: FieldParams, c: np.ndarray, slopes: list | None = None):
     """The forward sweep: yields (u, a) per layer, where u is the layer's
     input (widened by c at the skip layer) and a = u W^T + b its
-    pre-activation.  The field value is the last a."""
+    pre-activation.  The field value is the last a.  Given a list `slopes`,
+    each hidden layer's softplus slope is appended to it (see softplus)."""
     arch = params.arch
     h = c
     for j, (W, b) in enumerate(zip(params.weights, params.biases)):
@@ -206,7 +206,7 @@ def _layers(params: FieldParams, c: np.ndarray):
         a += b
         yield h, a
         if j < arch.layer_count - 1:
-            h = softplus(a, arch.softplus_beta)
+            h = softplus(a, arch.softplus_beta, slopes)
 
 
 def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -229,13 +229,14 @@ def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def _trace(params: FieldParams, c: np.ndarray):
     """Forward sweep, then the field's reverse sweep, per batch row.
 
-    Returns the layer inputs u_j, the softplus slopes of the hidden layers,
-    the field values, the spatial gradient and the adjoints df/du_j of every
-    layer input."""
+    Each hidden layer takes one exp, which gives both its softplus value
+    and its slope.  Returns the layer inputs u_j, the softplus slopes of the
+    hidden layers, the field values, the spatial gradient and the adjoints
+    df/du_j of every layer input."""
     arch = params.arch
     H = arch.hidden_width
-    us, as_ = zip(*_layers(params, c))
-    phi1 = [softplus_d1(a, arch.softplus_beta) for a in as_[:-1]]
+    phi1 = []
+    us, as_ = zip(*_layers(params, c, phi1))
     cbar = np.zeros((len(c), arch.input_dim), dtype=np.float64)
     W = params.weights[-1]
     ubar = np.broadcast_to(W[0], (len(c), W.shape[1]))  # df/du of the last layer

@@ -13,15 +13,13 @@ point toward increasing field values.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .container import Reader, Writer
 from .errors import (
     DimensionMismatch,
@@ -40,10 +38,12 @@ DEFAULT_HALFWIDTH = 1.1
 _CHUNK = 16 * _BLOCK  # lattice nodes per forward call: 16 padded blocks
 _COARSE_STRIDE = 16  # the narrow band's first sub-lattice
 _MARGIN = 2.0  # the band's L, over the steepest slope seen on that sub-lattice
-# reconstruct_shape's peak bytes per lattice node, reached in marching_cubes:
-# float64 values 8, inside mask 1, int32 case index 4 and the int64 shift of
-# the mask that fills it 8, plus the active-cell masks (22.0 traced at R = 160;
-# the band's own peak is 18.7 there)
+# reconstruct_shape's peak bytes per lattice node.  marching_cubes holds the
+# float64 values 8, inside mask 1, uint8 case index and shift buffer 2 and the
+# active-cell masks 3, plus arrays that grow with the surface; the band holds
+# the values, its known mask and per-level masks.  Traced on 25-epoch desk
+# fields: 17.2-19.0 at R = 160 and 192 (the band's own peak), up to 21.3 at
+# R = 128 and 24.9 at R = 96, where the surface arrays still weigh in
 _EXTRACT_BYTES_PER_NODE = 22
 
 # Local cell edge b runs along _EDGE_AXIS[b] starting at cell corner offset
@@ -84,21 +84,6 @@ class ScalarGrid:
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.lower[axis] + self.spacing[axis] * np.arange(self.resolution)
-
-
-def _one_blas_thread():
-    """Pool initializer for the lattice walk: run numpy's bundled OpenBLAS
-    (numpy.libs in pip wheels; nothing happens without it) single-threaded
-    in this thread.  BLAS threads under each worker spin and contend, which
-    made 4 workers slower than 1 on 2 cores.  The values keep their bits
-    because the GEMM shapes forward runs gave the same output elements at
-    every thread count measured; that is not true of GEMM in general (the
-    skip layer's weight-gradient product in loss_gradients changes bits
-    with the OpenBLAS thread count)."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*")):
-        with contextlib.suppress(OSError, AttributeError):
-            ctypes.CDLL(path).openblas_set_num_threads_local(1)
 
 
 def _physical_memory():
@@ -160,8 +145,11 @@ def _eval_nodes(params: FieldParams, z: np.ndarray, grid: ScalarGrid, nodes,
     if workers == 1:
         list(map(do_chunk, starts))
     else:
-        with ThreadPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            list(pool.map(do_chunk, starts))
+        # the outer block serves builds whose thread count is process-wide
+        # (the chunks' own blocks then find 1 and restore 1), the chunks'
+        # blocks builds whose count is per thread
+        with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(one_blas_thread()(do_chunk), starts))
 
 
 def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,
@@ -289,9 +277,12 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
         raise NonFiniteValue("grid contains non-finite values")
     R = grid.resolution
     inside = vals < iso
-    cube_idx = np.zeros((R - 1, R - 1, R - 1), dtype=np.int32)
-    for b, corner in enumerate(_corner_views(inside)):
-        cube_idx |= corner << b
+    cube_idx = np.zeros((R - 1, R - 1, R - 1), dtype=np.uint8)
+    bit = np.empty_like(cube_idx)  # a bool << int would be an int64 temporary
+    for b, corner in enumerate(_corner_views(inside.view(np.uint8))):
+        np.left_shift(corner, b, out=bit)
+        cube_idx |= bit
+    del bit
     ci, cj, ck = np.nonzero((cube_idx != 0) & (cube_idx != 255))
     if len(ci) == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))

@@ -2,8 +2,9 @@
 
 One Adam step is taken per shape-minibatch; every shape is visited exactly
 once per epoch in a seeded shuffled order.  Network parameters and the
-visited latent code row are updated jointly.  Training is single-threaded
-and bitwise reproducible for a fixed seed.
+visited latent code row are updated jointly.  Training is single-threaded,
+OpenBLAS included, and bitwise reproducible for a fixed seed on one machine
+and BLAS build.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .blas import one_blas_thread
 from .errors import (
     ConfigMismatch,
     EmptySurfaceSet,
@@ -127,8 +129,9 @@ def local_sigmas(points: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise InvalidCount("k must be >= 1")
     k = min(k, n - 1)
-    dists, _ = cKDTree(points).query(points, k=k + 1)
-    return np.ascontiguousarray(dists[:, k])
+    # k=[k + 1] returns only the k-th neighbor's column, not all k + 1
+    dists, _ = cKDTree(points).query(points, k=[k + 1])
+    return dists[:, 0]
 
 
 def _sample_off_surface(surface_points, sigmas, count, halfwidth, rng):
@@ -179,6 +182,7 @@ def adam_step(value, grad, m, v, step, lr,
     return value
 
 
+@one_blas_thread()
 def train(config: TrainConfig, samples: SurfaceSampleSet,
           arch: Architecture | None = None,
           initial: Checkpoint | None = None,

@@ -1,5 +1,10 @@
 """End-to-end command-line pipeline on tiny fixtures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from sdfshapes.cli import main
 from sdfshapes.cohort import CohortManifest, DistanceReport
 from sdfshapes.checkpoint_io import load_checkpoint
 from sdfshapes.mesh import load_mesh, load_sample_set, save_sample_set
+from sdfshapes.primitives import multi_sphere_samples
 
 from conftest import CUBE_OBJ
 
@@ -61,6 +67,27 @@ def test_train_artifacts(pipeline):
     metrics = root / "model.nsdf.metrics.csv"
     assert metrics.exists()
     assert len(metrics.read_text().strip().splitlines()) == 3  # header + 2 epochs
+
+
+def test_train_bits_independent_of_blas_thread_count(tmp_path):
+    # the desk-scale network: its skip layer's weight-gradient GEMM changes
+    # bits with the OpenBLAS thread count unless training pins it to one
+    save_sample_set(multi_sphere_samples([0.3, 0.5], 500, 0), tmp_path / "s.nsds")
+    (tmp_path / "run.cfg").write_text("epochs = 2\nlatent_dim = 8\nhidden_width = 64\n"
+                                      "layer_count = 8\nskip_layer = 4\n"
+                                      "surface_batch_size = 128\nseed = 0\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.nsdf"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "sdfshapes.cli", "train", "--samples",
+                        str(tmp_path / "s.nsds"), "--config", str(tmp_path / "run.cfg"),
+                        "--out", str(out)], env=env, check=True, capture_output=True,
+                       timeout=300)
+        outs.append(out.read_bytes() + Path(f"{out}.metrics.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_reconstruct_command(pipeline):

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfshapes.errors import DimensionMismatch
-from sdfshapes.field import (Architecture, FieldParams, forward, init_params,
-                             loss_gradients, shape_loss, softplus, softplus_d1,
-                             spatial_gradient)
+from sdfshapes.field import (Architecture, FieldParams, _trace, forward, init_params,
+                             loss_gradients, shape_loss, softplus, spatial_gradient)
 
 from conftest import linear_field, random_params, tiny_arch
 
@@ -379,6 +378,37 @@ def test_skip_into_output_layer_gradients_match_fd():
     assert np.allclose(zg, fd_z, rtol=1e-4, atol=1e-8)
 
 
+def _masked_slope(t, beta):
+    """softplus' = sigmoid(beta t) as the textbook overflow-safe formula, one
+    boolean mask per branch."""
+    bt = beta * t
+    out = np.empty_like(bt)
+    pos = bt >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-bt[pos]))
+    e = np.exp(bt[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+@pytest.mark.parametrize("beta", [100.0, 1.0, 3.7, 0.01])
+def test_trace_slopes_bitwise_equal_to_masked_formula(beta):
+    mags = np.concatenate([10.0 ** np.arange(-300, 301, 0.5),
+                           [0.0, 5e-324, 1e-310, np.finfo(float).tiny,
+                            np.finfo(float).max, np.inf]])
+    t = np.concatenate([mags, -mags, [np.nan]])
+    H = len(t)
+    # zero weights: layer 0's pre-activations are its biases, t, on every row
+    arch = Architecture(layer_count=2, hidden_width=H, latent_dim=1, skip_layer=1,
+                        softplus_beta=beta)
+    params = FieldParams(arch, [np.zeros((H, 4)), np.ones((1, H + 4))], [t, np.zeros(1)])
+    with np.errstate(all="ignore"):
+        _, (slope,), *_ = _trace(params, np.zeros((2, 4)))
+        ref = _masked_slope(np.broadcast_to(t, slope.shape), beta)
+    real = ~np.isnan(t)  # NaN payloads may differ
+    assert slope[:, real].tobytes() == ref[:, real].tobytes()
+    assert np.isnan(slope[:, ~real]).all()
+
+
 def _two_sweep_loss_gradients(params, z, pts_s, nrm, off, tau, lam, squared_code_reg):
     """Reference kernel: a forward trace, the field's reverse sweep for the
     spatial gradient, a tangent pass, then a reverse sweep that carries its
@@ -401,7 +431,7 @@ def _two_sweep_loss_gradients(params, z, pts_s, nrm, off, tau, lam, squared_code
         as_.append(a)
         if j < L - 1:
             h = softplus(a, beta)
-    phi1 = [softplus_d1(a, beta) for a in as_[:-1]]
+    phi1 = [_masked_slope(a, beta) for a in as_[:-1]]
     phi2 = [beta * s * (1.0 - s) for s in phi1]
     y = as_[-1][:, 0]
     gbar = np.zeros((B, d + 3))

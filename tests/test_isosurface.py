@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdfshapes import isosurface
+from sdfshapes import blas, isosurface
 from sdfshapes.errors import (BadMagic, DimensionMismatch, EmptySet, InvalidCount,
                               InvalidResolution, NonFiniteValue,
                               ShapeInconsistency, TruncatedFile,
@@ -89,6 +89,22 @@ def test_eval_grid_worker_invariance_bitwise():
     for workers in (2, 4):
         other = eval_grid(p, z, 33, workers=workers)
         assert np.array_equal(base.values, other.values)
+
+
+def test_one_blas_thread_restores_the_thread_count():
+    set_threads = blas._set_threads()
+    if set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    p = random_params(tiny_arch(width=16), 6)
+    old = set_threads(2)  # set_threads returns the count it replaces
+    try:
+        with blas.one_blas_thread():
+            assert set_threads(1) == 1
+        assert set_threads(2) == 2
+        eval_grid(p, np.zeros(4), 33, workers=3)  # its pool threads run single-threaded
+        assert set_threads(2) == 2
+    finally:
+        set_threads(old)
 
 
 def test_eval_grid_resolution_error():

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from sdfshapes.checkpoint_io import checkpoint_bytes
 from sdfshapes.errors import (ConfigMismatch, EmptySurfaceSet, InvalidCount,
@@ -52,6 +53,18 @@ def test_local_sigmas_k_capped():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [5.0, 0, 0]])
     s = local_sigmas(pts, k=99)  # capped at n-1 = 2: farthest other point
     assert np.allclose(s, [5.0, 4.0, 5.0])
+
+
+def test_local_sigmas_bitwise_equal_to_full_neighbor_table():
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(-1.0, 1.0, (600, 3))
+    pts[300:400] = pts[:100]  # duplicates: zero distances and tied neighbors
+    pts[400:420] = pts[0]
+    for k in (1, 5, 50, 599, 1000):
+        s = local_sigmas(pts, k)
+        full, _ = cKDTree(pts).query(pts, k=min(k, 599) + 1)
+        assert s.flags.c_contiguous
+        assert s.tobytes() == full[:, min(k, 599)].tobytes()
 
 
 def test_local_sigmas_errors():
