@@ -1,12 +1,12 @@
-"""Running a block of code with numpy's bundled OpenBLAS single-threaded.
+"""Thread settings: numpy's bundled OpenBLAS single-threaded, and one pool
+helper that maps independent work over threads.
 
 The elements of a GEMM product can depend on OpenBLAS's thread count: the
 skip layer's weight-gradient product in loss_gradients changes bits with it,
 so training runs single-threaded and its seeded results do not depend on the
 machine's core count or OPENBLAS_NUM_THREADS.  The forward shapes measured
-give the same bits at every thread count; the lattice walk's pool threads
-run single-threaded so they share the cores instead of contending with
-BLAS's own threads.
+give the same bits at every thread count; pool threads run single-threaded
+so they share the cores instead of contending with BLAS's own threads.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import ctypes
 import functools
 import glob
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,3 +50,27 @@ def one_blas_thread():
         yield
     finally:
         set_threads(old)
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pool_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], in item order.  One worker is a plain
+    serial map.  More run a pool of that many threads, each with OpenBLAS
+    single-threaded; the pool is shut down before this returns.  If items
+    fail, the lowest failing item's exception is raised, as the serial map
+    would, and items not yet started are cancelled."""
+    if workers == 1:
+        return list(map(fn, items))
+    # the outer block serves builds whose thread count is process-wide (the
+    # items' own blocks then find 1 and restore 1), the items' blocks builds
+    # whose count is per thread
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one_blas_thread()(fn), items))

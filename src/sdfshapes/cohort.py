@@ -1,4 +1,11 @@
-"""Novel-shape generation by convex code combination and Chamfer reports."""
+"""Novel-shape generation by convex code combination and Chamfer reports.
+
+Shapes, and pairs of shapes, are independent of each other, so each command
+maps them over a thread pool with one thread per usable core (numpy's
+ufuncs, BLAS and cKDTree's queries release the GIL); the results do not
+depend on the thread count.  generate_cohort and reconstruction_report mesh
+at most as many shapes at once as fit in physical memory.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +26,8 @@ from .errors import (
     ShapeMismatch,
     TooFewMeshes,
 )
-from .isosurface import reconstruct_shape
+from .blas import pool_map, usable_cores
+from .isosurface import concurrent_extractions, reconstruct_shape
 from .mesh import SurfaceSampleSet, sample_surface, save_mesh
 
 DEFAULT_EVAL_POINTS = 30000
@@ -102,6 +110,12 @@ def combine_codes(codebook: np.ndarray, weights: CombinationWeights) -> np.ndarr
     return z
 
 
+def _extraction_workers(resolution: int) -> int:
+    """Threads for meshing shapes at this resolution: one per usable core,
+    no more than fit in physical memory at once."""
+    return concurrent_extractions(resolution, usable_cores())
+
+
 def _reconstruct(checkpoint, z, resolution, label):
     try:
         return reconstruct_shape(checkpoint, z, resolution)
@@ -122,21 +136,25 @@ def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
     if interp_count < 1 or count < 1:
         raise InvalidCount("count and interp_count must be >= 1")
     rng = np.random.default_rng(seed)
-    meshes = []
-    manifest = CohortManifest()
-    for i in range(count):
+    weights = []
+    for _ in range(count):
         idx = rng.choice(n, size=interp_count, replace=False)
         draws = rng.standard_exponential(interp_count)
-        weights = CombinationWeights(tuple(int(j) for j in idx), draws / draws.sum())
-        z = combine_codes(checkpoint.codes, weights)
+        weights.append(CombinationWeights(tuple(int(j) for j in idx), draws / draws.sum()))
+
+    def make(i):
+        z = combine_codes(checkpoint.codes, weights[i])
         mesh = _reconstruct(checkpoint, z, resolution, f"cohort shape {i}")
         path = ""
         if out_dir is not None:
             path = os.path.join(str(out_dir), f"shape_{i:03d}.obj")
             save_mesh(mesh, path)
-        meshes.append(mesh)
-        manifest.entries.append(CohortEntry(i, weights, path, seed))
-    return meshes, manifest
+        return mesh, path
+
+    made = pool_map(make, range(count), _extraction_workers(resolution))
+    manifest = CohortManifest([CohortEntry(i, w, path, seed)
+                               for i, (w, (_, path)) in enumerate(zip(weights, made))])
+    return [mesh for mesh, _ in made], manifest
 
 
 def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -215,17 +233,18 @@ def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
     n = len(checkpoint.codes)
     if samples.shape_count != n:
         raise ShapeMismatch(f"{samples.shape_count} sample shapes vs {n} codes")
-    labels, values = [], []
-    for k in range(n):
+
+    def distance(k):
         mesh = _reconstruct(checkpoint, checkpoint.codes[k], resolution, f"shape {k}")
         rec = sample_surface(mesh, eval_points, (seed, k, 1)).points[0]
         gt = samples.points[k]
         if len(gt) > eval_points:
             rng = np.random.default_rng([seed, k, 0])
             gt = gt[rng.choice(len(gt), size=eval_points, replace=False)]
-        labels.append(str(k))
-        values.append(chamfer_distance(gt, rec))
-    return DistanceReport(labels, np.array(values))
+        return chamfer_distance(gt, rec)
+
+    values = pool_map(distance, range(n), _extraction_workers(resolution))
+    return DistanceReport([str(k) for k in range(n)], np.array(values))
 
 
 def pairwise_report(meshes, eval_points: int = DEFAULT_EVAL_POINTS,
@@ -237,9 +256,11 @@ def pairwise_report(meshes, eval_points: int = DEFAULT_EVAL_POINTS,
     clouds = [sample_surface(m, eval_points, (seed, i)).points[0]
               for i, m in enumerate(meshes)]
     trees = [cKDTree(c) for c in clouds]
-    labels, values = [], []
-    for i in range(len(meshes)):
-        for j in range(i + 1, len(meshes)):
-            labels.append(f"{i}-{j}")
-            values.append(_chamfer(clouds[i], trees[i], clouds[j], trees[j]))
-    return DistanceReport(labels, np.array(values))
+    pairs = [(i, j) for i in range(len(meshes)) for j in range(i + 1, len(meshes))]
+
+    def pair(ij):
+        i, j = ij
+        return _chamfer(clouds[i], trees[i], clouds[j], trees[j])
+
+    values = pool_map(pair, pairs, usable_cores())
+    return DistanceReport([f"{i}-{j}" for i, j in pairs], np.array(values))

@@ -14,12 +14,11 @@ point toward increasing field values.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import pool_map
 from .container import Reader, Writer
 from .errors import (
     DimensionMismatch,
@@ -95,6 +94,16 @@ def _physical_memory():
     return size if size > 0 else None
 
 
+def concurrent_extractions(resolution: int, workers: int) -> int:
+    """workers, capped so that that many reconstruct_shape calls at this
+    resolution, each at its peak, fit in physical memory together; at least
+    1, since one call guards its own need."""
+    phys = _physical_memory()
+    if phys is None or resolution < 2:
+        return workers
+    return max(1, min(workers, phys // (_EXTRACT_BYTES_PER_NODE * resolution ** 3)))
+
+
 def _lattice(resolution: int, workers: int, bytes_per_node: int,
              purpose: str) -> ScalarGrid:
     """An all-zero grid over [-DEFAULT_HALFWIDTH, DEFAULT_HALFWIDTH]^3, once
@@ -141,15 +150,7 @@ def _eval_nodes(params: FieldParams, z: np.ndarray, grid: ScalarGrid, nodes,
         del n  # held across forward, it made malloc re-fault heap pages every block
         flat[at] = forward(params, z, pts)
 
-    starts = range(0, total, _CHUNK)
-    if workers == 1:
-        list(map(do_chunk, starts))
-    else:
-        # the outer block serves builds whose thread count is process-wide
-        # (the chunks' own blocks then find 1 and restore 1), the chunks'
-        # blocks builds whose count is per thread
-        with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_blas_thread()(do_chunk), starts))
+    pool_map(do_chunk, range(0, total, _CHUNK), workers)
 
 
 def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,

@@ -2,9 +2,11 @@
 
 One Adam step is taken per shape-minibatch; every shape is visited exactly
 once per epoch in a seeded shuffled order.  Network parameters and the
-visited latent code row are updated jointly.  Training is single-threaded,
-OpenBLAS included, and bitwise reproducible for a fixed seed on one machine
-and BLAS build.
+visited latent code row are updated jointly.  The optimization loop is
+single-threaded, OpenBLAS included; only local_sigmas' nearest-neighbor
+query, which sets the off-surface sampling scales, runs on every usable
+core, and its per-point results do not depend on that.  Training is bitwise
+reproducible for a fixed seed on one machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .blas import one_blas_thread
+from .blas import one_blas_thread, usable_cores
 from .errors import (
     ConfigMismatch,
     EmptySurfaceSet,
@@ -130,7 +132,7 @@ def local_sigmas(points: np.ndarray, k: int) -> np.ndarray:
         raise InvalidCount("k must be >= 1")
     k = min(k, n - 1)
     # k=[k + 1] returns only the k-th neighbor's column, not all k + 1
-    dists, _ = cKDTree(points).query(points, k=[k + 1])
+    dists, _ = cKDTree(points).query(points, k=[k + 1], workers=usable_cores())
     return dists[:, 0]
 
 

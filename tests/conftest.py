@@ -1,8 +1,11 @@
 """Shared fixtures and small helpers for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from sdfshapes import cohort
 from sdfshapes.errors import EmptySet
 from sdfshapes.field import Architecture, FieldParams, init_params
 from sdfshapes.isosurface import eval_grid, marching_cubes, reconstruct_shape
@@ -61,6 +64,19 @@ def assert_band_equals_dense(checkpoint, z, resolution):
         for got, want in ((mesh.vertices, ref.vertices), (mesh.faces, ref.faces)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """A function that sets how many threads the cohort commands' pools get
+    (the count usable_cores reports to sdfshapes.cohort).  The GIL switch
+    interval is shortened meanwhile, so the threads interleave often."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield lambda workers: monkeypatch.setattr(cohort, "usable_cores", lambda: workers)
+    finally:
+        sys.setswitchinterval(old)
 
 
 CUBE_OBJ = """\

@@ -1,11 +1,15 @@
 """Convex code combination, cohort generation, and Chamfer reporting."""
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from sdfshapes import cohort
+from sdfshapes import cohort, isosurface
 from sdfshapes.cohort import (CohortManifest, CombinationWeights,
                               DistanceReport, chamfer_distance, combine_codes,
                               generate_cohort, pairwise_report,
@@ -18,6 +22,14 @@ from sdfshapes.mesh import SurfaceSampleSet, sample_surface
 from sdfshapes.primitives import uv_sphere_mesh
 
 from conftest import tiny_checkpoint
+
+
+def _same_meshes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for x, y in ((a.vertices, b.vertices), (a.faces, b.faces)):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
 
 
 # ------------------------------------------------------------ combine_codes
@@ -134,6 +146,75 @@ def test_manifest_csv_roundtrip(tmp_path):
         assert ea.mesh_path == eb.mesh_path
 
 
+# ------------------------------------------------- generate_cohort's pool
+
+def _manifest_rows(manifest):
+    return [(e.shape_id, e.seed, e.weights.indices, e.weights.alphas.tobytes(),
+             os.path.basename(e.mesh_path)) for e in manifest.entries]
+
+
+def test_generate_cohort_same_bits_at_any_worker_count(tmp_path, pool_workers):
+    ck = tiny_checkpoint(n_codes=5)
+    threads = threading.active_count()
+    runs = []
+    for workers in (1, 3):  # 3: more threads than this host may have cores
+        pool_workers(workers)
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        meshes, manifest = generate_cohort(ck, 7, 3, seed=2, resolution=20, out_dir=out)
+        assert threading.active_count() == threads  # the pool is gone
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((meshes, _manifest_rows(manifest), files))
+    (serial, rows, files), (pooled, pooled_rows, pooled_files) = runs
+    _same_meshes(pooled, serial)
+    assert pooled_rows == rows
+    assert sorted(files) == [f"shape_{i:03d}.obj" for i in range(7)]
+    assert pooled_files == files
+
+
+def test_generate_cohort_caps_concurrent_lattices(monkeypatch, pool_workers):
+    ck = tiny_checkpoint(n_codes=5)
+    pool_workers(3)
+    want, _ = generate_cohort(ck, 5, 2, seed=4, resolution=20)
+    lattice = isosurface._EXTRACT_BYTES_PER_NODE * 20 ** 3
+    seen = []
+    pool_map = cohort.pool_map
+
+    def spy(fn, items, workers):
+        seen.append(workers)
+        return pool_map(fn, items, workers)
+
+    monkeypatch.setattr(cohort, "pool_map", spy)
+    # physical memory for exactly one lattice, just short of two, two, five
+    for phys, workers in ((lattice, 1), (2 * lattice - 1, 1), (2 * lattice, 2),
+                          (5 * lattice, 3)):
+        monkeypatch.setattr(isosurface, "_physical_memory", lambda: phys)
+        got, _ = generate_cohort(ck, 5, 2, seed=4, resolution=20)
+        assert seen[-1] == workers
+        _same_meshes(got, want)
+
+
+def test_generate_cohort_raises_for_the_lowest_failing_shape(monkeypatch, pool_workers):
+    ck = tiny_checkpoint(n_codes=5)
+    _, manifest = generate_cohort(ck, 6, 2, seed=3, resolution=12)
+    codes = [combine_codes(ck.codes, e.weights) for e in manifest.entries]
+    real = cohort.reconstruct_shape
+
+    def empty_at_2_and_4(checkpoint, z, resolution):
+        if np.array_equal(z, codes[2]):
+            time.sleep(0.1)  # with a pool, shape 4 fails first
+            raise EmptySet("the zero set misses shape two")
+        if np.array_equal(z, codes[4]):
+            raise EmptySet("the zero set misses shape four")
+        return real(checkpoint, z, resolution)
+
+    monkeypatch.setattr(cohort, "reconstruct_shape", empty_at_2_and_4)
+    for workers in (1, 3):
+        pool_workers(workers)
+        with pytest.raises(EmptySet, match="^cohort shape 2: the zero set misses shape two$"):
+            generate_cohort(ck, 6, 2, seed=3, resolution=12)
+
+
 # --------------------------------------------------------- chamfer_distance
 
 def test_chamfer_identical_sets_zero():
@@ -212,6 +293,22 @@ def test_reconstruction_report_length_and_roundtrip(tmp_path):
     assert np.array_equal(DistanceReport.from_csv(p).values, report.values)
 
 
+def test_reconstruction_report_same_bits_at_any_worker_count(pool_workers):
+    ck = tiny_checkpoint(n_codes=4)
+    sets = SurfaceSampleSet()
+    for k in range(4):
+        s = sample_surface(uv_sphere_mesh(0.4 + 0.05 * k, 8, 12), 900, seed=(5, k))
+        sets.points.append(s.points[0])
+        sets.normals.append(s.normals[0])
+    reports = []
+    for workers in (1, 3):
+        pool_workers(workers)
+        reports.append(reconstruction_report(ck, sets, resolution=20, eval_points=600,
+                                             seed=1))
+    assert reports[1].labels == reports[0].labels == ["0", "1", "2", "3"]
+    assert reports[1].values.tobytes() == reports[0].values.tobytes()
+
+
 def test_reconstruction_report_shape_mismatch():
     ck = tiny_checkpoint(n_codes=3)
     sets = SurfaceSampleSet(points=[np.zeros((4, 3))], normals=[np.tile((1.0, 0, 0), (4, 1))])
@@ -230,22 +327,24 @@ def test_pairwise_pair_counts():
     assert r4.labels == ["0-1", "0-2", "0-3", "1-2", "1-3", "2-3"]
 
 
-def test_pairwise_one_tree_per_cloud_same_bits(monkeypatch):
+def test_pairwise_one_tree_per_cloud_same_bits(monkeypatch, pool_workers):
     meshes = [uv_sphere_mesh(0.3 + 0.1 * i, 6, 8) for i in range(5)]
     clouds = [sample_surface(m, 300, (7, i)).points[0] for i, m in enumerate(meshes)]
-    builds = []
-
-    def counting_tree(points):
-        builds.append(len(points))
-        return cKDTree(points)
-
-    monkeypatch.setattr(cohort, "cKDTree", counting_tree)
-    report = pairwise_report(meshes, eval_points=300, seed=7)
-    assert builds == [300] * 5
-    monkeypatch.undo()
     pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    want = [chamfer_distance(clouds[i], clouds[j]) for i, j in pairs]
-    assert report.values.tobytes() == np.array(want).tobytes()
+    want = np.array([chamfer_distance(clouds[i], clouds[j]) for i, j in pairs])
+    for workers in (1, 3):
+        builds = []
+
+        def counting_tree(points):
+            builds.append(len(points))
+            return cKDTree(points)
+
+        monkeypatch.setattr(cohort, "cKDTree", counting_tree)
+        pool_workers(workers)
+        report = pairwise_report(meshes, eval_points=300, seed=7)
+        assert builds == [300] * 5
+        assert report.labels == [f"{i}-{j}" for i, j in pairs]
+        assert report.values.tobytes() == want.tobytes()
 
 
 def test_pairwise_too_few():

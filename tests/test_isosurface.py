@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdfshapes import blas, isosurface
+from sdfshapes.cohort import generate_cohort
 from sdfshapes.errors import (BadMagic, DimensionMismatch, EmptySet, InvalidCount,
                               InvalidResolution, NonFiniteValue,
                               ShapeInconsistency, TruncatedFile,
@@ -91,7 +92,7 @@ def test_eval_grid_worker_invariance_bitwise():
         assert np.array_equal(base.values, other.values)
 
 
-def test_one_blas_thread_restores_the_thread_count():
+def test_one_blas_thread_restores_the_thread_count(pool_workers):
     set_threads = blas._set_threads()
     if set_threads is None:
         pytest.skip("numpy bundles no OpenBLAS")
@@ -102,6 +103,9 @@ def test_one_blas_thread_restores_the_thread_count():
             assert set_threads(1) == 1
         assert set_threads(2) == 2
         eval_grid(p, np.zeros(4), 33, workers=3)  # its pool threads run single-threaded
+        assert set_threads(2) == 2
+        pool_workers(3)  # so do the cohort's
+        generate_cohort(tiny_checkpoint(n_codes=3), 4, 2, seed=0, resolution=12)
         assert set_threads(2) == 2
     finally:
         set_threads(old)
@@ -243,18 +247,21 @@ def test_band_follows_the_surface_out_of_pruned_cells(monkeypatch):
 
 def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):
     ck = tiny_checkpoint()
+    per_node = isosurface._EXTRACT_BYTES_PER_NODE
     phys = isosurface._physical_memory()
     if phys is not None:  # the smallest R whose extraction exceeds this machine
-        R = int(round((phys / 22) ** (1 / 3)))
-        while 22 * R ** 3 <= phys:
+        R = int(round((phys / per_node) ** (1 / 3)))
+        while per_node * R ** 3 <= phys:
             R += 1
         with pytest.raises(InvalidResolution,
-                           match=f"resolution {R} needs {22 * R ** 3} bytes to extract"):
+                           match=f"resolution {R} needs {per_node * R ** 3} bytes to extract"):
             reconstruct_shape(ck, ck.codes[0], R)
-    # a machine of 22 * 64^3 - 1 bytes: values alone fit, extraction does not
-    monkeypatch.setattr(isosurface, "_physical_memory", lambda: 22 * 64 ** 3 - 1)
-    with pytest.raises(InvalidResolution, match="resolution 64 needs 5767168 bytes to "
-                       "extract its mesh, more than the 5767167 bytes of physical memory"):
+    # a machine one byte short of extracting at R = 64; its values alone fit
+    need = per_node * 64 ** 3
+    assert need - 1 >= 8 * 64 ** 3
+    monkeypatch.setattr(isosurface, "_physical_memory", lambda: need - 1)
+    with pytest.raises(InvalidResolution, match=f"resolution 64 needs {need} bytes to "
+                       f"extract its mesh, more than the {need - 1} bytes of physical memory"):
         reconstruct_shape(ck, ck.codes[0], 64)
     monkeypatch.setattr(isosurface, "_physical_memory", lambda: 8 * 64 ** 3 - 1)
     with pytest.raises(InvalidResolution, match="resolution 64 needs 2097152 bytes for "
