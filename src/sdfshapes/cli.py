@@ -27,6 +27,7 @@ from .isosurface import reconstruct_shape
 from .training import train
 
 MESH_EXTENSIONS = (".obj", ".ply")
+DEFAULT_RESOLUTION = 256  # lattice nodes per axis of every extracting command
 
 
 def _load_settings(config_path) -> RunSettings:
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("reconstruct", help="mesh one training shape")
     rp.add_argument("--checkpoint", required=True)
     rp.add_argument("--shape-index", type=int, required=True)
-    rp.add_argument("--resolution", type=int, default=256)
+    rp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     rp.add_argument("--workers", type=int, default=1)
     rp.add_argument("--out", required=True)
     rp.set_defaults(fn=_cmd_reconstruct)
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("--checkpoint", required=True)
     ip.add_argument("--indices", required=True, help="comma-separated row indices")
     ip.add_argument("--alphas", required=True, help="comma-separated weights")
-    ip.add_argument("--resolution", type=int, default=256)
+    ip.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     ip.add_argument("--workers", type=int, default=1)
     ip.add_argument("--out", required=True)
     ip.set_defaults(fn=_cmd_interpolate)
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--num", type=int, required=True)
     gp.add_argument("--interp-count", type=int, required=True)
     gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("--resolution", type=int, default=256)
+    gp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     gp.add_argument("--out-dir", required=True)
     gp.set_defaults(fn=_cmd_generate)
 
@@ -196,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     erp = esub.add_parser("recon", help="per-shape reconstruction distances")
     erp.add_argument("--checkpoint", required=True)
     erp.add_argument("--samples", required=True)
-    erp.add_argument("--resolution", type=int, default=256)
-    erp.add_argument("--eval-points", type=int, default=30000)
+    erp.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
+    erp.add_argument("--eval-points", type=int, default=cohort_mod.DEFAULT_EVAL_POINTS)
     erp.add_argument("--seed", type=int, default=0)
     erp.add_argument("--out", required=True)
     erp.set_defaults(fn=_cmd_evaluate_recon)
     epp = esub.add_parser("pairwise", help="pairwise distances over a mesh set")
     epp.add_argument("--mesh-dir", required=True)
-    epp.add_argument("--eval-points", type=int, default=30000)
+    epp.add_argument("--eval-points", type=int, default=cohort_mod.DEFAULT_EVAL_POINTS)
     epp.add_argument("--seed", type=int, default=0)
     epp.add_argument("--out", required=True)
     epp.set_defaults(fn=_cmd_evaluate_pairwise)

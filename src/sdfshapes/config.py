@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BadValue, UnknownKey
 from .field import Architecture
-from .training import TrainConfig
+from .training import CONFIG_RECORD, TrainConfig
 
 
 @dataclass
@@ -32,24 +32,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# key -> (target section, attribute, parser)
+# key -> (target section, attribute, parser): the training fields are those
+# of training.CONFIG_RECORD, parsed after their record codes
 _KEYS = {
-    "epochs": ("train", "epochs", int),
-    "initial_lr": ("train", "initial_lr", float),
-    "lr_halving_period": ("train", "lr_halving_period", int),
-    "tau": ("train", "tau", float),
-    "lambda": ("train", "lam", float),
-    "latent_dim": ("train", "latent_dim", int),
-    "code_init_std": ("train", "code_init_std", float),
-    "surface_batch_size": ("train", "surface_batch_size", int),
-    "offsurface_ratio": ("train", "offsurface_ratio", float),
-    "adam_beta1": ("train", "adam_beta1", float),
-    "adam_beta2": ("train", "adam_beta2", float),
-    "adam_eps": ("train", "adam_eps", float),
-    "knn_k": ("train", "knn_k", int),
-    "uniform_halfwidth": ("train", "uniform_halfwidth", float),
-    "seed": ("train", "seed", int),
-    "squared_code_reg": ("train", "squared_code_reg", _parse_bool),
+    **{("lambda" if name == "lam" else name):
+       ("train", name, {"I": int, "Q": int, "d": float, "B": _parse_bool}[code])
+       for name, code in CONFIG_RECORD},
     "layer_count": ("arch", "layer_count", int),
     "hidden_width": ("arch", "hidden_width", int),
     "skip_layer": ("arch", "skip_layer", int),

@@ -260,7 +260,7 @@ def spatial_gradient(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.n
 def _breakdown(y_s, g_s, normals, g_o, z, tau, lam, squared_code_reg):
     surface_term = float(np.mean(np.abs(y_s)))
     normal_term = float(np.mean(np.sum((g_s - normals) ** 2, axis=1)))
-    if g_o is None or len(g_o) == 0:
+    if g_o is None:
         eikonal_term = 0.0
     else:
         eikonal_term = float(np.mean((np.linalg.norm(g_o, axis=1) - 1.0) ** 2))
@@ -271,6 +271,28 @@ def _breakdown(y_s, g_s, normals, g_o, z, tau, lam, squared_code_reg):
                          code_reg_term, total, tau, lam)
 
 
+def _loss_trace(params: FieldParams, z, surface_points, surface_normals,
+                offsurface_points, tau: float, lam: float, squared_code_reg: bool):
+    """Check one shape's loss inputs, trace its surface rows followed by its
+    off-surface rows as one batch, and break down the loss.  Returns the
+    code and normals as float64 arrays, the surface row count, _trace's
+    result and the LossBreakdown."""
+    surface_points = np.asarray(surface_points, dtype=np.float64)
+    surface_normals = np.asarray(surface_normals, dtype=np.float64)
+    if surface_points.shape != surface_normals.shape:
+        raise DimensionMismatch("surface points and normals must align")
+    c = _concat_input(params.arch, z, surface_points)
+    if offsurface_points is not None and len(offsurface_points) > 0:
+        c = np.vstack([c, _concat_input(params.arch, z, offsurface_points)])
+    trace = _trace(params, c)
+    _, _, y, g, _ = trace
+    Ns = len(surface_points)
+    g_o = g[Ns:] if len(c) > Ns else None
+    z = np.asarray(z, dtype=np.float64).ravel()
+    breakdown = _breakdown(y[:Ns], g[:Ns], surface_normals, g_o, z, tau, lam, squared_code_reg)
+    return z, surface_normals, Ns, trace, breakdown
+
+
 def shape_loss(params: FieldParams, z: np.ndarray,
                surface_points: np.ndarray, surface_normals: np.ndarray,
                offsurface_points: np.ndarray | None,
@@ -278,16 +300,8 @@ def shape_loss(params: FieldParams, z: np.ndarray,
                squared_code_reg: bool = False) -> LossBreakdown:
     """Per-shape loss: |field| and gradient/normal mismatch on the surface,
     unit-gradient penalty off the surface, and the latent norm penalty."""
-    surface_points = np.asarray(surface_points, dtype=np.float64)
-    surface_normals = np.asarray(surface_normals, dtype=np.float64)
-    if surface_points.shape != surface_normals.shape:
-        raise DimensionMismatch("surface points and normals must align")
-    _, _, y_s, g_s, _ = _trace(params, _concat_input(params.arch, z, surface_points))
-    g_o = None
-    if offsurface_points is not None and len(offsurface_points) > 0:
-        g_o = spatial_gradient(params, z, offsurface_points)
-    z = np.asarray(z, dtype=np.float64).ravel()
-    return _breakdown(y_s, g_s, surface_normals, g_o, z, tau, lam, squared_code_reg)
+    return _loss_trace(params, z, surface_points, surface_normals, offsurface_points,
+                       tau, lam, squared_code_reg)[-1]
 
 
 def loss_gradients(params: FieldParams, z: np.ndarray,
@@ -308,27 +322,13 @@ def loss_gradients(params: FieldParams, z: np.ndarray,
     d = arch.latent_dim
     H = arch.hidden_width
     L = arch.layer_count
-    z = np.asarray(z, dtype=np.float64).ravel()
-    surface_points = np.asarray(surface_points, dtype=np.float64)
-    surface_normals = np.asarray(surface_normals, dtype=np.float64)
-    if surface_points.shape != surface_normals.shape:
-        raise DimensionMismatch("surface points and normals must align")
-    Ns = surface_points.shape[0]
-    if offsurface_points is not None and len(offsurface_points) > 0:
-        offsurface_points = np.asarray(offsurface_points, dtype=np.float64)
-        pts = np.vstack([surface_points, offsurface_points])
-        Mo = offsurface_points.shape[0]
-    else:
-        pts = surface_points
-        Mo = 0
-    B = pts.shape[0]
-
-    us, phi1, y, g, dfdu = _trace(params, _concat_input(arch, z, pts))
+    z, surface_normals, Ns, (us, phi1, y, g, dfdu), breakdown = _loss_trace(
+        params, z, surface_points, surface_normals, offsurface_points,
+        tau, lam, squared_code_reg)
+    B = len(y)
+    Mo = B - Ns
     phi2 = [beta * s * (1.0 - s) for s in phi1]  # softplus'' from softplus'
-
-    y_s, g_s = y[:Ns], g[:Ns]
-    g_o = g[Ns:] if Mo else None
-    breakdown = _breakdown(y_s, g_s, surface_normals, g_o, z, tau, lam, squared_code_reg)
+    y_s, g_s, g_o = y[:Ns], g[:Ns], g[Ns:]
 
     # dL/dy and dL/dg, held fixed for the second-order sweep
     cy = np.zeros(B)

@@ -38,11 +38,11 @@ _CHUNK = 16 * _BLOCK  # lattice nodes per forward call: 16 padded blocks
 _COARSE_STRIDE = 16  # the narrow band's first sub-lattice
 _MARGIN = 2.0  # the band's L, over the steepest slope seen on that sub-lattice
 # reconstruct_shape's peak bytes per lattice node.  marching_cubes holds the
-# float64 values 8, inside mask 1, uint8 case index and shift buffer 2 and the
-# active-cell masks 3, plus arrays that grow with the surface; the band holds
+# float64 values 8, inside mask 1, uint8 case index 1 and the active-cell
+# masks 3, plus arrays that grow with the surface; the band holds
 # the values, its known mask and per-level masks.  Traced on 25-epoch desk
-# fields: 17.2-19.0 at R = 160 and 192 (the band's own peak), up to 21.3 at
-# R = 128 and 24.9 at R = 96, where the surface arrays still weigh in
+# fields: 16.1-17.9 at R = 160 and 192, up to 19.3 at R = 128 and 22.6 at
+# R = 96, where the surface arrays still weigh in
 _EXTRACT_BYTES_PER_NODE = 22
 
 # Local cell edge b runs along _EDGE_AXIS[b] starting at cell corner offset
@@ -174,6 +174,19 @@ def _corner_views(a: np.ndarray) -> list:
     return [a[dx:dx + n, dy:dy + n, dz:dz + n] for dx, dy, dz in _CORNER_OFFSETS]
 
 
+def _case_index(mask: np.ndarray) -> np.ndarray:
+    """The marching-cubes case of every cell of a node mask: bit b is set
+    when corner _CORNER_OFFSETS[b] is marked.  For a mask of the inside
+    nodes, the level set crosses exactly the cells whose case is neither 0
+    (no corner inside) nor 255 (all inside)."""
+    views = _corner_views(mask.view(np.uint8))
+    code = views[7].copy()
+    for corner in views[6::-1]:  # Horner's rule: code = 2 code + corner
+        code += code  # numpy's uint8 add is vectorized; its left_shift is not
+        code |= corner
+    return code
+
+
 def _corners_of(cells: np.ndarray) -> np.ndarray:
     """Node mask of every corner of the marked cells."""
     n = cells.shape[0]
@@ -195,21 +208,6 @@ def _eval_marked(params: FieldParams, z: np.ndarray, grid: ScalarGrid,
     _eval_nodes(params, z, grid, nodes, workers)
     known.reshape(-1)[nodes] = True
     return len(nodes)
-
-
-def _unfinished(inside: np.ndarray, known: np.ndarray) -> np.ndarray:
-    """Lattice cells whose corners straddle the zero set but are not all
-    known."""
-    any_in = np.zeros(np.subtract(inside.shape, 1), dtype=bool)
-    all_in = np.ones_like(any_in)
-    all_known = np.ones_like(any_in)
-    for vi, vk in zip(_corner_views(inside), _corner_views(known)):
-        any_in |= vi
-        all_in &= vi
-        all_known &= vk
-    any_in &= ~all_in
-    any_in &= ~all_known
-    return any_in
 
 
 def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
@@ -251,12 +249,11 @@ def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
         reach = margin * np.sqrt(gap[:, None, None] ** 2 + gap[None, :, None] ** 2
                                  + gap[None, None, :] ** 2)
         near = np.full(cell.shape, np.inf)
-        n_in = np.zeros(cell.shape, dtype=np.int8)
         for v in _corner_views(V):
             np.minimum(near, np.abs(v), out=near)
-            n_in += v < 0
-        prune = (cell == 0) & (near > reach) & ((n_in == 0) | (n_in == 8))
-        cell[prune] = np.where(n_in[prune] == 8, -1, 1)
+        code = _case_index(V < 0)
+        prune = (cell == 0) & (near > reach) & ((code == 0) | (code == 255))
+        cell[prune] = np.where(code[prune] == 255, -1, 1)
         s //= 2
         m = -(-(R - 1) // s)
         cell = cell.repeat(2, 0).repeat(2, 1).repeat(2, 2)[:m, :m, :m]
@@ -265,10 +262,12 @@ def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
     at = np.minimum(ax, R - 2)
     np.copyto(grid.values, cell.take(at, 0).take(at, 1).take(at, 2), where=~known)
     del cell
-    while _eval_marked(params, z, grid, known, ax,
-                       _corners_of(_unfinished(grid.values < 0, known)), workers):
-        pass
-    return grid
+    while True:  # finish the crossing cells that still have a placeholder corner
+        code = _case_index(grid.values < 0)
+        marked = _corners_of((code != 0) & (code != 255) & (_case_index(known) != 255))
+        del code
+        if not _eval_marked(params, z, grid, known, ax, marked, workers):
+            return grid
 
 
 def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
@@ -277,13 +276,7 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     if not np.isfinite(vals).all():
         raise NonFiniteValue("grid contains non-finite values")
     R = grid.resolution
-    inside = vals < iso
-    cube_idx = np.zeros((R - 1, R - 1, R - 1), dtype=np.uint8)
-    bit = np.empty_like(cube_idx)  # a bool << int would be an int64 temporary
-    for b, corner in enumerate(_corner_views(inside.view(np.uint8))):
-        np.left_shift(corner, b, out=bit)
-        cube_idx |= bit
-    del bit
+    cube_idx = _case_index(vals < iso)
     ci, cj, ck = np.nonzero((cube_idx != 0) & (cube_idx != 255))
     if len(ci) == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
@@ -308,8 +301,7 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     tri_edges = np.concatenate(tri_edges)
     tri_gids = cell_edge_ids[tri_cell[:, None], tri_edges]  # (ntri, 3) global ids
 
-    unique_ids, faces_flat = np.unique(tri_gids, return_inverse=True)
-    faces = faces_flat.reshape(-1, 3)
+    unique_ids, faces = np.unique(tri_gids, return_inverse=True)
 
     # vertex positions by linear interpolation along each cut edge
     axis = unique_ids % 3
@@ -328,16 +320,7 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
 
     # the classic table winds faces with normals toward lower values; flip
     # so normals follow increasing field (outward for negative-inside)
-    faces = faces[:, ::-1]
-
-    # drop triangles degenerated by vertex sharing, then unreferenced vertices
-    f = faces
-    keep = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])
-    faces = faces[keep]
-    used = np.unique(faces)
-    remap = np.full(len(verts), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriangleMesh(verts[used], remap[faces])
+    return TriangleMesh(verts, np.ascontiguousarray(faces.reshape(-1, 3)[:, ::-1]))
 
 
 def reconstruct_shape(checkpoint, code: np.ndarray, resolution: int,

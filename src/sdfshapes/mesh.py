@@ -99,7 +99,7 @@ class SurfaceSampleSet:
     def shape_count(self) -> int:
         return len(self.points)
 
-    def validate(self, unit_ball: bool = True):
+    def validate(self):
         if not self.points:
             raise EmptySurfaceSet("sample set has no shapes")
         for k, (p, n) in enumerate(zip(self.points, self.normals)):
@@ -110,7 +110,7 @@ class SurfaceSampleSet:
             nrm = np.linalg.norm(n, axis=1)
             if (np.abs(nrm - 1.0) > 1e-9).any():
                 raise InvalidCount(f"shape {k}: non-unit normals")
-            if unit_ball and (np.linalg.norm(p, axis=1) > 1.0 + 1e-6).any():
+            if (np.linalg.norm(p, axis=1) > 1.0 + 1e-6).any():
                 raise InvalidCount(f"shape {k}: points outside the unit ball")
         return self
 

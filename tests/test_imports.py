@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module, and only
+"""Every module-level import in the package is used by its module, every
+module-level private name is read somewhere in the package, and only
 container.py packs or unpacks bytes."""
 
 import ast
@@ -37,6 +38,46 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict):
+    """(module, name) of the private names that a module binds at module level
+    (def, class or assignment; dunders aside) and that no module of
+    `sources`, a {module: source} map, reads as a name or an attribute."""
+    bound, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            bound += [(module, n) for n in names
+                      if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in bound if name[1] not in read)
+
+
+def test_private_name_detector():
+    sources = {"a.py": ("import b\n_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                        "def _f():\n    return _A\n"
+                        "class _K:\n    pass\n"
+                        "def _g():\n    _local = 1\n    return _local\n"),
+               "b.py": "import a\nx = a._K\ny = a._f()\n"}
+    assert unread_private_names(sources) == [("a.py", "_B"), ("a.py", "_C"),
+                                             ("a.py", "_g")]
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def byte_framing(source: str):

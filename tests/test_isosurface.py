@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdfshapes import blas, isosurface
 from sdfshapes.cohort import generate_cohort
@@ -12,6 +13,7 @@ from sdfshapes.errors import (BadMagic, DimensionMismatch, EmptySet, InvalidCoun
 from sdfshapes.field import FieldParams, forward
 from sdfshapes.isosurface import (_CHUNK, ScalarGrid, eval_grid, load_grid,
                                   marching_cubes, reconstruct_shape, save_grid)
+from sdfshapes.mc_tables import TRI_TABLE
 
 from conftest import (assert_band_equals_dense, random_params, tiny_arch,
                       tiny_checkpoint)
@@ -190,11 +192,55 @@ def test_mc_vertices_interpolate_to_iso():
         assert abs((v0 + t * (v1 - v0)) - iso) < 1e-9
 
 
-def test_mc_no_degenerate_or_unreferenced():
-    m = marching_cubes(sphere_grid(32, 0.6))
+def assert_no_degenerate_or_unreferenced(m):
     f = m.faces
     assert ((f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])).all()
     assert set(np.unique(f)) == set(range(len(m.vertices)))
+
+
+def test_mc_no_degenerate_or_unreferenced():
+    assert_no_degenerate_or_unreferenced(marching_cubes(sphere_grid(32, 0.6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.floats(0.05, 0.95))
+def test_mc_no_degenerate_or_unreferenced_random_grids(seed, R, frac):
+    # independent random node values hit many of the 256 cases per grid
+    vals = np.random.default_rng(seed).normal(size=(R, R, R))
+    iso = vals.min() + frac * (vals.max() - vals.min())
+    m = marching_cubes(ScalarGrid(R, np.zeros(3), np.ones(3), vals), iso)
+    assert_no_degenerate_or_unreferenced(m)
+    assert m.faces.flags.c_contiguous
+
+
+def test_tri_table_never_cuts_an_edge_twice_in_a_triangle():
+    # with the 12 edges of a cell distinct, no emitted face can repeat a vertex
+    edges = {(tuple(b), a) for b, a in zip(isosurface._EDGE_BASE, isosurface._EDGE_AXIS)}
+    assert len(edges) == 12
+    for case, row in enumerate(TRI_TABLE):
+        used = row[row >= 0]
+        assert len(used) % 3 == 0 and (row[len(used):] == -1).all(), case
+        for tri in used.reshape(-1, 3):
+            assert len(set(tri.tolist())) == 3, (case, tri)
+
+
+def test_case_index_matches_a_per_cell_loop():
+    corners = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+               (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    for case in range(256):  # every case on one cell
+        mask = np.zeros((2, 2, 2), dtype=bool)
+        for b, c in enumerate(corners):
+            mask[c] = bool(case >> b & 1)
+        assert isosurface._case_index(mask).tolist() == [[[case]]]
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 5, 7):
+        mask = rng.random((n, n, n)) < 0.5
+        code = isosurface._case_index(mask)
+        assert code.dtype == np.uint8 and code.shape == (n - 1,) * 3
+        for i, j, k in np.ndindex(code.shape):
+            expect = sum(1 << b for b, (dx, dy, dz) in enumerate(corners)
+                         if mask[i + dx, j + dy, k + dz])
+            assert code[i, j, k] == expect
 
 
 def test_mc_rejects_non_finite():
