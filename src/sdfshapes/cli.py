@@ -60,7 +60,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    samples = load_sample_set(args.samples).validate()
+    samples = load_sample_set(args.samples)
     settings = _load_settings(args.config)
     initial = load_checkpoint(args.resume) if args.resume else None
     arch = initial.arch if initial is not None else settings.arch
@@ -119,7 +119,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate_recon(args) -> int:
     ck = load_checkpoint(args.checkpoint)
-    samples = load_sample_set(args.samples)
+    samples = load_sample_set(args.samples).validate()
     report = cohort_mod.reconstruction_report(
         ck, samples, args.resolution, args.eval_points, args.seed)
     report.to_csv(args.out)

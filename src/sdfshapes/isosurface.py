@@ -202,9 +202,12 @@ def _eval_marked(params: FieldParams, z: np.ndarray, grid: ScalarGrid,
     """Evaluate the nodes of the sub-lattice ax x ax x ax that are marked and
     not yet known, and mark them known; return how many there were."""
     R, m = grid.resolution, len(ax)
-    n = np.flatnonzero(marked & ~known[np.ix_(ax, ax, ax)])
-    nodes = (ax[n // (m * m)] * R + ax[n // m % m]) * R + ax[n % m]
-    del n
+    if m == R:  # ax lists every node, so the flat indices are the nodes
+        nodes = np.flatnonzero(marked & ~known)
+    else:
+        n = np.flatnonzero(marked & ~known[np.ix_(ax, ax, ax)])
+        nodes = (ax[n // (m * m)] * R + ax[n // m % m]) * R + ax[n % m]
+        del n
     _eval_nodes(params, z, grid, nodes, workers)
     known.reshape(-1)[nodes] = True
     return len(nodes)

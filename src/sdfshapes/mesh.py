@@ -30,8 +30,9 @@ SAMPLESET_VERSION = 1
 class TriangleMesh:
     """Indexed triangle surface.
 
-    vertices: (V, 3) float64, faces: (F, 3) int64.  Every face index must be
-    a valid vertex index and no face may repeat a vertex.
+    vertices: (V, 3) float64, faces: (F, 3) int64.  Every vertex coordinate
+    must be finite, every face index a valid vertex index, and no face may
+    repeat a vertex.
     """
 
     vertices: np.ndarray
@@ -42,6 +43,8 @@ class TriangleMesh:
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
 
     def validate(self):
+        if not np.isfinite(self.vertices).all():
+            raise NonFiniteValue("non-finite vertex coordinate")
         if len(self.faces):
             if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
                 raise IndexOutOfRange(
@@ -232,11 +235,10 @@ def _parse_ply(text: str) -> TriangleMesh:
 def save_mesh(mesh: TriangleMesh, path) -> None:
     """Write an ASCII OBJ with 1-based face indices, 9 significant digits."""
     mesh.validate()
+    v, f = mesh.vertices, mesh.faces + 1
     with open(path, "w", encoding="utf-8") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+        fh.write(("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
 
 
 def normalize_unit_ball(mesh: TriangleMesh):

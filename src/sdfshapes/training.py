@@ -11,6 +11,9 @@ reproducible for a fixed seed on one machine and BLAS build.
 
 from __future__ import annotations
 
+import copy
+import os
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +139,21 @@ def local_sigmas(points: np.ndarray, k: int) -> np.ndarray:
     return dists[:, 0]
 
 
-def _sample_off_surface(surface_points, sigmas, count, halfwidth, rng):
+def sample_off_surface(surface_points: np.ndarray, sigmas: np.ndarray,
+                       count: int, halfwidth: float, seed) -> np.ndarray:
+    """Half the points are Gaussian perturbations of random surface points
+    (per-point scale), half are uniform in the enclosing cube.  seed may
+    also be a Generator, which the draws then advance."""
+    if count < 1:
+        raise InvalidCount("count must be >= 1")
+    surface_points = np.asarray(surface_points, dtype=np.float64)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if len(sigmas) != len(surface_points):
+        raise ShapeMismatch("sigmas must align with surface points")
     n = len(surface_points)
     if n == 0:
         raise EmptySurfaceSet("no surface points to perturb")
+    rng = np.random.default_rng(seed)
     n_gauss = (count + 1) // 2
     n_unif = count // 2
     idx = rng.integers(0, n, size=n_gauss)
@@ -147,20 +161,6 @@ def _sample_off_surface(surface_points, sigmas, count, halfwidth, rng):
     gauss = surface_points[idx] + noise
     unif = rng.uniform(-halfwidth, halfwidth, size=(n_unif, 3))
     return np.vstack([gauss, unif])
-
-
-def sample_off_surface(surface_points: np.ndarray, sigmas: np.ndarray,
-                       count: int, halfwidth: float, seed) -> np.ndarray:
-    """Half the points are Gaussian perturbations of random surface points
-    (per-point scale), half are uniform in the enclosing cube."""
-    if count < 1:
-        raise InvalidCount("count must be >= 1")
-    surface_points = np.asarray(surface_points, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if len(sigmas) != len(surface_points):
-        raise ShapeMismatch("sigmas must align with surface points")
-    return _sample_off_surface(surface_points, sigmas, count, halfwidth,
-                               np.random.default_rng(seed))
 
 
 def learning_rate_at(epoch: int, config: TrainConfig) -> float:
@@ -192,53 +192,51 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
           log=None) -> Checkpoint:
     """Run the Adam loop over all shapes and return a checkpoint.
 
-    config.epochs is the target epoch count; resuming from a checkpoint
-    continues from its completed epoch.  metrics may be a path or an open
-    text stream and receives one CSV row per epoch.
+    config.epochs is the target epoch count.  Training continues from
+    initial, or else from the epoch-0 checkpoint of config.seed; initial is
+    never modified.  metrics may be a path, appended to, or an open text
+    stream; it receives the CSV header when empty and one row per epoch.
     """
-    if samples.shape_count == 0:
-        raise EmptySurfaceSet("no training shapes")
+    n = samples.validate().shape_count
     if arch is None:
         arch = Architecture(latent_dim=config.latent_dim) if initial is None else initial.arch
     if arch.latent_dim != config.latent_dim:
         raise ConfigMismatch("config latent_dim does not match the architecture")
-    n = samples.shape_count
-
-    if initial is not None:
-        if initial.arch != arch:
-            raise ConfigMismatch("resume checkpoint architecture differs")
-        if initial.codes.shape[0] != n:
-            raise ConfigMismatch("resume checkpoint shape count differs")
-        params = initial.params.copy()
-        codes = initial.codes.copy()
-        opt = initial.optimizer if initial.optimizer is not None \
-            else OptimizerState.fresh(params, codes)
-        start_epoch = initial.epochs_completed
-    else:
-        params = init_params(arch, config.seed)
-        init_rng = np.random.default_rng([config.seed, 0])
-        codes = init_rng.normal(0.0, config.code_init_std, size=(n, config.latent_dim))
+    if initial is None:
+        codes = np.random.default_rng([config.seed, 0]).normal(
+            0.0, config.code_init_std, size=(n, config.latent_dim))
+        initial = Checkpoint(arch=arch, params=init_params(arch, config.seed),
+                             codes=codes, config=config, epochs_completed=0,
+                             seed=config.seed)
+    if initial.arch != arch:
+        raise ConfigMismatch("resume checkpoint architecture differs")
+    if initial.codes.shape[0] != n:
+        raise ConfigMismatch("resume checkpoint shape count differs")
+    if config.epochs < initial.epochs_completed:
+        raise ConfigMismatch(f"target of {config.epochs} epochs is below the "
+                             f"{initial.epochs_completed} already completed")
+    params = initial.params.copy()
+    codes = initial.codes.copy()
+    if initial.optimizer is None:
         opt = OptimizerState.fresh(params, codes)
-        start_epoch = 0
+    else:
+        opt = copy.deepcopy(initial.optimizer)
 
     sigmas = [local_sigmas(p, config.knn_k) if len(p) >= 2 else np.zeros(len(p))
               for p in samples.points]
     B = config.surface_batch_size
     M = max(1, round(B * config.offsurface_ratio))
+    hyper = (config.adam_beta1, config.adam_beta2, config.adam_eps)
+    tensors = params.weights + params.biases
+    m_all = opt.m_weights + opt.m_biases
+    v_all = opt.v_weights + opt.v_biases
 
-    close_metrics = False
-    if isinstance(metrics, (str, bytes)) or hasattr(metrics, "__fspath__"):
-        import os
-        fresh = not (os.path.exists(metrics) and os.path.getsize(metrics) > 0)
-        metrics = open(metrics, "a", encoding="utf-8")
-        close_metrics = True
-        if fresh:
+    with ExitStack() as stack:
+        if isinstance(metrics, (str, bytes, os.PathLike)):
+            metrics = stack.enter_context(open(metrics, "a", encoding="utf-8"))
+        if metrics is not None and metrics.tell() == 0:
             metrics.write(METRICS_HEADER + "\n")
-    elif metrics is not None and metrics.tell() == 0:
-        metrics.write(METRICS_HEADER + "\n")
-
-    try:
-        for epoch in range(start_epoch, config.epochs):
+        for epoch in range(initial.epochs_completed, config.epochs):
             rng = np.random.default_rng([config.seed, 1, epoch])
             lr = learning_rate_at(epoch, config)
             order = rng.permutation(n)
@@ -247,8 +245,7 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
                 pts = samples.points[k]
                 nrm = samples.normals[k]
                 idx = rng.integers(0, len(pts), size=min(B, len(pts)))
-                off = _sample_off_surface(pts, sigmas[k], M,
-                                          config.uniform_halfwidth, rng)
+                off = sample_off_surface(pts, sigmas[k], M, config.uniform_halfwidth, rng)
                 wg, bg, zg, bd = loss_gradients(
                     params, codes[k], pts[idx], nrm[idx], off,
                     config.tau, config.lam, config.squared_code_reg)
@@ -256,18 +253,11 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
                     raise NonFiniteLoss(
                         f"non-finite loss at epoch {epoch}, shape {k}: {bd}")
                 opt.step_params += 1
-                t = opt.step_params
-                for j in range(arch.layer_count):
-                    adam_step(params.weights[j], wg[j], opt.m_weights[j],
-                              opt.v_weights[j], t, lr,
-                              config.adam_beta1, config.adam_beta2, config.adam_eps)
-                    adam_step(params.biases[j], bg[j], opt.m_biases[j],
-                              opt.v_biases[j], t, lr,
-                              config.adam_beta1, config.adam_beta2, config.adam_eps)
+                for value, grad, m, v in zip(tensors, wg + bg, m_all, v_all):
+                    adam_step(value, grad, m, v, opt.step_params, lr, *hyper)
                 opt.step_codes[k] += 1
                 adam_step(codes[k], zg, opt.m_codes[k], opt.v_codes[k],
-                          int(opt.step_codes[k]), lr,
-                          config.adam_beta1, config.adam_beta2, config.adam_eps)
+                          int(opt.step_codes[k]), lr, *hyper)
                 sums += (bd.total, bd.surface_term, bd.normal_term,
                          bd.eikonal_term, bd.code_reg_term)
             means = [float(s) for s in sums / n]
@@ -277,9 +267,6 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
             if log is not None and (epoch % 100 == 0 or epoch == config.epochs - 1):
                 print(f"epoch {epoch}: mean loss {means[0]:.6f} (lr {lr:g})",
                       file=log, flush=True)
-    finally:
-        if close_metrics:
-            metrics.close()
 
     return Checkpoint(arch=arch, params=params, codes=codes, config=config,
                       epochs_completed=config.epochs, seed=config.seed,

@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline on tiny fixtures."""
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdfshapes.cli import main
+from sdfshapes.cli import build_parser, main
 from sdfshapes.cohort import CohortManifest, DistanceReport
 from sdfshapes.checkpoint_io import load_checkpoint
-from sdfshapes.mesh import load_mesh, load_sample_set, save_sample_set
-from sdfshapes.primitives import multi_sphere_samples
+from sdfshapes.mesh import load_mesh, load_sample_set, save_mesh, save_sample_set
+from sdfshapes.primitives import multi_sphere_samples, uv_sphere_mesh
 
 from conftest import CUBE_OBJ
 
@@ -36,8 +38,6 @@ def pipeline(tmp_path_factory):
     meshes = root / "meshes"
     meshes.mkdir()
     (meshes / "a.obj").write_text(CUBE_OBJ)
-    from sdfshapes.mesh import save_mesh
-    from sdfshapes.primitives import uv_sphere_mesh
     save_mesh(uv_sphere_mesh(2.0, 8, 12), meshes / "b.obj")
     samples = root / "train.nsds"
     assert main(["sample", "--input-dir", str(meshes), "--out", str(samples),
@@ -67,6 +67,37 @@ def test_train_artifacts(pipeline):
     metrics = root / "model.nsdf.metrics.csv"
     assert metrics.exists()
     assert len(metrics.read_text().strip().splitlines()) == 3  # header + 2 epochs
+
+
+def _train_to(pipeline, tmp_path, epochs, out, *extra):
+    """Train the pipeline's samples to `epochs` epochs; return the exit code."""
+    cfg = tmp_path / f"to{epochs}.cfg"
+    cfg.write_text(TINY_CONFIG.replace("epochs = 2", f"epochs = {epochs}"))
+    return main(["train", "--samples", str(pipeline[2]), "--config", str(cfg),
+                 "--out", str(out), *extra])
+
+
+def test_train_resume_equals_straight_run(pipeline, tmp_path):
+    root, _, _, _, ck = pipeline
+    resumed, straight = tmp_path / "resumed.nsdf", tmp_path / "straight.nsdf"
+    metrics = tmp_path / "resumed.csv"
+    shutil.copyfile(root / "model.nsdf.metrics.csv", metrics)
+    assert _train_to(pipeline, tmp_path, 4, resumed, "--resume", str(ck),
+                     "--metrics", str(metrics)) == 0
+    assert _train_to(pipeline, tmp_path, 4, straight) == 0
+    assert resumed.read_bytes() == straight.read_bytes()
+    assert metrics.read_bytes() == Path(f"{straight}.metrics.csv").read_bytes()
+    lines = metrics.read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines] == ["epoch", "0", "1", "2", "3"]
+
+
+def test_train_resume_below_completed_epochs_fails(pipeline, tmp_path, capsys):
+    out, metrics = tmp_path / "lower.nsdf", tmp_path / "lower.csv"
+    assert _train_to(pipeline, tmp_path, 1, out, "--resume", str(pipeline[4]),
+                     "--metrics", str(metrics)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "below the 2 already completed" in err
+    assert not out.exists() and not metrics.exists()
 
 
 def test_train_bits_independent_of_blas_thread_count(tmp_path):
@@ -190,6 +221,46 @@ def test_evaluate_pairwise_command(pipeline):
                  "--eval-points", "400", "--out", str(out)]) == 0
     report = DistanceReport.from_csv(out)
     assert len(report.values) == 1  # 2 meshes -> 1 pair
+
+
+def test_evaluate_pairwise_rejects_non_finite_vertex(tmp_path, capsys):
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    save_mesh(uv_sphere_mesh(0.8, 8, 12), meshes / "a.obj")
+    lines = (meshes / "a.obj").read_text().splitlines(keepends=True)
+    (meshes / "b.obj").write_text("v nan 0 0.5\n" + "".join(lines[1:]))
+    out = tmp_path / "pairs.csv"
+    assert main(["evaluate", "pairwise", "--mesh-dir", str(meshes),
+                 "--eval-points", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite vertex" in err
+    assert not out.exists()
+
+
+def test_evaluate_recon_rejects_non_finite_samples(pipeline, tmp_path, capsys):
+    _, _, samples, _, ck = pipeline
+    bad = load_sample_set(samples)
+    bad.points[0][3, 1] = np.nan
+    save_sample_set(bad, tmp_path / "nan.nsds")
+    out = tmp_path / "recon.csv"
+    assert main(["evaluate", "recon", "--checkpoint", str(ck), "--samples",
+                 str(tmp_path / "nan.nsds"), "--resolution", "16",
+                 "--eval-points", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "shape 0: non-finite point or normal" in err
+    assert not out.exists()
+
+
+def test_readme_pipeline_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line pipeline", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [ln for ln in block.splitlines() if ln.startswith("sdfshapes ")]
+    assert len(commands) == 7
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.fn), line
 
 
 def test_cli_error_on_bad_checkpoint(tmp_path, capsys):

@@ -124,7 +124,61 @@ def test_ply_rows_follow_header_element_order(tmp_path, order):
     assert np.array_equal(m.faces, [[0, 1, 2]])
 
 
+def test_obj_non_finite_vertex(tmp_path):
+    p = tmp_path / "nan.obj"
+    p.write_text("v nan 0 0.5\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(NonFiniteValue):
+        load_mesh(p)
+
+
+def test_ply_non_finite_vertex(tmp_path):
+    p = tmp_path / "inf.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "element face 1\nproperty list uchar int vertex_indices\n"
+                 "end_header\n0 0 0\n1 inf 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(NonFiniteValue):
+        load_mesh(p)
+
+
 # ---------------------------------------------------------------- save_mesh
+
+def _save_mesh_per_line(mesh, path):
+    """The one-line-per-record OBJ writer that save_mesh must match."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for f in mesh.faces:
+            fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
+
+
+_coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1.5e22, 5e-324, 1.0 / 3.0, 123456789.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=3,
+                max_size=40),
+       st.integers(0, 2**31 - 1))
+def test_save_mesh_bytes_match_per_line_writer(tmp_path_factory, vertices, seed):
+    n = len(vertices)
+    faces = np.array([np.random.default_rng([seed, k]).choice(n, 3, replace=False)
+                      for k in range(n)])
+    mesh = TriangleMesh(np.array(vertices), faces)
+    tmp = tmp_path_factory.mktemp("obj")
+    save_mesh(mesh, tmp / "fast.obj")
+    _save_mesh_per_line(mesh, tmp / "ref.obj")
+    assert (tmp / "fast.obj").read_bytes() == (tmp / "ref.obj").read_bytes()
+
+
+def test_save_mesh_rejects_non_finite_vertex(tmp_path):
+    vertices = np.eye(3)
+    vertices[1, 2] = -np.inf
+    with pytest.raises(NonFiniteValue):
+        save_mesh(TriangleMesh(vertices, np.array([[0, 1, 2]])), tmp_path / "inf.obj")
+    assert not (tmp_path / "inf.obj").exists()
+
 
 def test_save_load_roundtrip(tmp_path):
     m = uv_sphere_mesh(0.7, 6, 8)
@@ -137,9 +191,12 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_empty_mesh(tmp_path):
     p = tmp_path / "empty.obj"
-    save_mesh(TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64)), p)
+    mesh = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64))
+    save_mesh(mesh, p)
     text = p.read_text()
     assert "v " not in text and "f " not in text
+    _save_mesh_per_line(mesh, tmp_path / "ref.obj")
+    assert p.read_bytes() == (tmp_path / "ref.obj").read_bytes()
 
 
 def test_save_one_based_indices(tmp_path):

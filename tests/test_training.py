@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from sdfshapes import training
 from sdfshapes.checkpoint_io import checkpoint_bytes
 from sdfshapes.errors import (ConfigMismatch, EmptySurfaceSet, InvalidCount,
-                              NonFiniteLoss, ShapeMismatch, TooFewPoints)
+                              NonFiniteLoss, NonFiniteValue, ShapeMismatch,
+                              TooFewPoints)
 from sdfshapes.field import Architecture, init_params
 from sdfshapes.primitives import multi_sphere_samples, sphere_samples
 from sdfshapes.training import (METRICS_HEADER, TrainConfig, adam_step,
@@ -236,6 +238,53 @@ def test_train_resume_matches_straight_run():
     resumed = train(cfg5, samples, arch=arch, initial=half)
     straight = train(cfg5, samples, arch=arch)
     assert checkpoint_bytes(resumed) == checkpoint_bytes(straight)
+
+
+def test_train_resume_never_writes_its_input():
+    cfg4, samples, arch = _tiny_setup(4)
+    half = train(TrainConfig(**{**cfg4.__dict__, "epochs": 2}), samples, arch=arch)
+    before = checkpoint_bytes(half)
+    first = train(cfg4, samples, arch=arch, initial=half)
+    second = train(cfg4, samples, arch=arch, initial=half)
+    assert checkpoint_bytes(half) == before
+    assert checkpoint_bytes(first) == checkpoint_bytes(second)
+
+
+def test_train_rejects_target_below_completed_epochs():
+    cfg4, samples, arch = _tiny_setup(4)
+    done = train(cfg4, samples, arch=arch)
+    with pytest.raises(ConfigMismatch, match="below the 4 already completed"):
+        train(TrainConfig(**{**cfg4.__dict__, "epochs": 2}), samples,
+              arch=arch, initial=done)
+    # a target equal to the completed count runs no epoch
+    again = train(cfg4, samples, arch=arch, initial=done)
+    assert checkpoint_bytes(again) == checkpoint_bytes(done)
+
+
+def test_train_validates_samples_before_any_step(monkeypatch):
+    cfg, samples, arch = _tiny_setup(2)
+    samples.points[1][5, 0] = np.nan
+
+    def never(*args, **kwargs):
+        raise AssertionError("train went past its sample check")
+
+    monkeypatch.setattr(training, "local_sigmas", never)
+    monkeypatch.setattr(training, "loss_gradients", never)
+    with pytest.raises(NonFiniteValue, match="shape 1"):
+        train(cfg, samples, arch=arch)
+
+
+def test_train_metrics_header_only_into_an_empty_sink(tmp_path):
+    cfg, samples, arch = _tiny_setup(1)
+    buf = io.StringIO()
+    buf.write("earlier\n")
+    train(cfg, samples, arch=arch, metrics=buf)
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 2 and lines[0] == "earlier" and lines[1].startswith("0,")
+    path = tmp_path / "m.csv"
+    path.write_text("")
+    train(cfg, samples, arch=arch, metrics=str(path))
+    assert path.read_text().splitlines()[0] == METRICS_HEADER
 
 
 def test_train_visits_every_shape_each_epoch():
