@@ -49,12 +49,17 @@ class Architecture:
         # the skip can never fire there, so the upper bound only applies otherwise
         if self.layer_count >= 2 and not self.skip_layer < self.layer_count:
             raise DimensionMismatch("skip_layer must be in [1, layer_count)")
-        if self.softplus_beta <= 0:
-            raise DimensionMismatch("softplus_beta must be positive")
+        if not (np.isfinite(self.softplus_beta) and self.softplus_beta > 0):  # NaN fails
+            raise DimensionMismatch(f"softplus_beta must be finite and positive, "
+                                    f"got {self.softplus_beta!r}")
         if self.latent_dim < 1:
             raise DimensionMismatch("latent_dim must be >= 1")
         if self.hidden_width < 1:
             raise DimensionMismatch("hidden_width must be >= 1")
+        for name in ("layer_count", "hidden_width", "latent_dim", "skip_layer"):
+            if getattr(self, name) >= 2 ** 32:  # the checkpoint's u32 fields
+                raise DimensionMismatch(f"{name} must be < {2 ** 32}, "
+                                        f"got {getattr(self, name)}")
 
     @property
     def input_dim(self) -> int:
@@ -134,14 +139,15 @@ def softplus(t: np.ndarray, beta: float, slopes: list | None = None) -> np.ndarr
 
     Given a list `slopes`, also appends the slope sigmoid(beta t), derived
     from the same e = exp(-beta |t|) with no mask: 1 / (1 + e) where t >= 0,
-    e / (1 + e) elsewhere.  beta |t| == |beta t| exactly, so both outputs
-    have the bits of the textbook formulas."""
+    e / (1 + e) elsewhere.  The numerator is max(e, t >= 0), since
+    0 < e <= 1.  beta |t| == |beta t| exactly, so both outputs have the bits
+    of the textbook formulas."""
     # one buffer for the value: 2 allocations, not 8
     out = np.abs(t)
     out *= -beta
     np.exp(out, out=out)
     if slopes is not None:
-        slope = np.where(t >= 0, 1.0, out)
+        slope = np.maximum(out, t >= 0)
         slope /= 1.0 + out
         slopes.append(slope)
     np.log1p(out, out=out)

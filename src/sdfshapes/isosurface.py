@@ -4,7 +4,9 @@ Grid values are stored as values[i, j, k] for the lattice point
 (x_i, y_j, z_k); serialization and cell traversal use x-fastest order.
 The lattice is fixed at [-1.1, 1.1]^3.  eval_grid evaluates every node;
 reconstruct_shape evaluates only the nodes near the zero set, coarse to
-fine, and each node it evaluates gets eval_grid's bits.  Extraction uses the
+fine, and each node it evaluates gets eval_grid's bits.  On its last level
+it skips the nodes whose sign a stride-2 value certifies, which leaves out
+about 40% of the nodes it evaluates on trained fields.  Extraction uses the
 classic 256-case tables with shared edge vertices, so the output is an
 indexed mesh.  A corner counts as inside when its value is below the iso
 level (negative-inside convention); triangle winding makes face normals
@@ -196,11 +198,53 @@ def _corners_of(cells: np.ndarray) -> np.ndarray:
     return nodes
 
 
+def _certifiers(nodes: np.ndarray, resolution: int):
+    """For flat indices of lattice nodes: the flat indices of the stride-2
+    nodes around each, as an (8, len(nodes)) array with repeats along the
+    axes where the node lies on a stride-2 plane, and per node the number k
+    of axes where it does not.  Each of its certifiers lies sqrt(k) lattice
+    spacings from it."""
+    R = resolution
+    lo, hi, off = [], [], 0
+    for a in (nodes // (R * R), nodes // R % R, nodes % R):
+        odd = (a & 1).astype(bool) & (a != R - 1)  # off _axis(R, 2)
+        lo.append(a - odd)
+        hi.append(a + odd)
+        off = off + odd
+    ends = (lo, hi)
+    return np.stack([(ends[dx][0] * R + ends[dy][1]) * R + ends[dz][2]
+                     for dx, dy, dz in _CORNER_OFFSETS]), off
+
+
+def _certify(grid: ScalarGrid, nodes: np.ndarray, margin: float) -> np.ndarray:
+    """The band's last level: write to each of `nodes` (flat indices) the
+    sign, as -1 or +1, of a stride-2 node c around it that certifies it,
+    |f(c)| > 2 margin |n - c|; return the nodes none certifies.  Under the
+    assumption behind pruning, a slope below 2 margin, a certified node has
+    c's sign.  The candidates are taken _CHUNK at a time, which keeps the
+    gathered certifier values small."""
+    flat = grid.values.reshape(-1)
+    reach = 2.0 * margin * grid.spacing[0] * np.sqrt(np.arange(4.0))
+    left = []
+    for c0 in range(0, len(nodes), _CHUNK):
+        n = nodes[c0:c0 + _CHUNK]
+        certs, off = _certifiers(n, grid.resolution)
+        v = flat[certs]
+        del certs
+        v = np.take_along_axis(v, np.abs(v).argmax(axis=0)[None], axis=0)[0]
+        sure = np.abs(v) > reach[off]
+        flat[n[sure]] = np.where(v[sure] < 0, -1.0, 1.0)
+        left.append(n[~sure])
+    return np.concatenate(left) if left else nodes
+
+
 def _eval_marked(params: FieldParams, z: np.ndarray, grid: ScalarGrid,
                  known: np.ndarray, ax: np.ndarray, marked: np.ndarray,
-                 workers: int) -> int:
+                 workers: int, margin: float | None = None) -> int:
     """Evaluate the nodes of the sub-lattice ax x ax x ax that are marked and
-    not yet known, and mark them known; return how many there were."""
+    not yet known, and mark them known; return how many there were.  Given
+    a margin, ax lists every node, and the nodes _certify certifies get
+    their sign instead: they are not evaluated and stay unknown."""
     R, m = grid.resolution, len(ax)
     if m == R:  # ax lists every node, so the flat indices are the nodes
         nodes = np.flatnonzero(marked & ~known)
@@ -208,6 +252,8 @@ def _eval_marked(params: FieldParams, z: np.ndarray, grid: ScalarGrid,
         n = np.flatnonzero(marked & ~known[np.ix_(ax, ax, ax)])
         nodes = (ax[n // (m * m)] * R + ax[n // m % m]) * R + ax[n % m]
         del n
+    if margin is not None:
+        nodes = _certify(grid, nodes, margin)
     _eval_nodes(params, z, grid, nodes, workers)
     known.reshape(-1)[nodes] = True
     return len(nodes)
@@ -216,8 +262,8 @@ def _eval_marked(params: FieldParams, z: np.ndarray, grid: ScalarGrid,
 def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
                workers: int) -> ScalarGrid:
     """The lattice eval_grid fills, evaluated coarse to fine near the zero
-    set only; every other node holds -1 or +1, the sign of the pruned cell
-    it lies in.
+    set only; every other node holds -1 or +1: the sign of the pruned cell
+    it lies in, or the sign a stride-2 node certifies for it.
 
     Level s has the nodes _axis(R, s) per axis and the cells between them;
     cell k of level s splits into cells 2k and 2k + 1 of level s/2.  The
@@ -226,10 +272,17 @@ def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
     _MARGIN times the steepest slope between adjacent nodes.  A cell whose
     corners share one sign and all lie further than L times its diagonal
     from zero is pruned; the nodes of the next level in the other cells are
-    evaluated, down to stride 1.  Last, any lattice cell whose corners
-    straddle the zero set but include a placeholder gets its missing
-    corners evaluated, until there is none: every cell that emits triangles
-    then has the dense values at all 8 corners.
+    evaluated, down to stride 2.  At stride 1 a node is evaluated only when
+    no stride-2 corner c of its cell's parent certifies its sign,
+    |f(c)| > 2 L |n - c| (see _certify).  Last, any lattice cell whose
+    corners straddle the zero set but include a placeholder gets its
+    missing corners evaluated, until there is none: every cell that emits
+    triangles then has the dense values at all 8 corners.
+
+    Pruning and the certificate rest on one assumption: the field's slope
+    stays below 2 L.  Every point of a pruned cell lies within half its
+    diagonal of a corner, so it keeps the corners' sign, as does a certified
+    node; all node signs are then the dense signs.
     """
     grid = _lattice(resolution, workers, _EXTRACT_BYTES_PER_NODE, "to extract its mesh")
     R = resolution
@@ -239,11 +292,9 @@ def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
         s //= 2
     cell = np.zeros((-(-(R - 1) // s),) * 3, dtype=np.int8)  # 0: refine, -1/+1: pruned
     margin = None
-    while True:
+    while s > 1:
         ax = _axis(R, s)
         _eval_marked(params, z, grid, known, ax, _corners_of(cell == 0), workers)
-        if s == 1:
-            break
         V = grid.values[np.ix_(ax, ax, ax)]
         gap = np.diff(ax) * grid.spacing[0]
         if margin is None:
@@ -260,11 +311,16 @@ def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
         s //= 2
         m = -(-(R - 1) // s)
         cell = cell.repeat(2, 0).repeat(2, 1).repeat(2, 2)[:m, :m, :m]
-    # ax now lists every node; node n takes the sign of lattice cell
-    # min(n, R - 2) on each axis
+    ax = _axis(R, 1)  # every node
+    # node n takes the sign of lattice cell min(n, R - 2) on each axis,
+    # until the last level writes the corners of the open cells
     at = np.minimum(ax, R - 2)
     np.copyto(grid.values, cell.take(at, 0).take(at, 1).take(at, 2), where=~known)
+    marked = _corners_of(cell == 0)
     del cell
+    # the last level; margin is None when it is also the first
+    _eval_marked(params, z, grid, known, ax, marked, workers, margin)
+    del marked
     while True:  # finish the crossing cells that still have a placeholder corner
         code = _case_index(grid.values < 0)
         marked = _corners_of((code != 0) & (code != 255) & (_case_index(known) != 255))

@@ -7,6 +7,7 @@ even for non-watertight inputs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import (
 
 SAMPLESET_MAGIC = b"NSDS"
 SAMPLESET_VERSION = 1
+# what bytes that are not UTF-8 decode to under "surrogateescape"
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 @dataclass
@@ -126,14 +129,29 @@ def load_mesh(path) -> TriangleMesh:
     """
     path = str(path)
     parse = _parse_ply if path.lower().endswith(".ply") else _parse_obj
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return parse(fh.read()).validate()
 
 
-def _parse_obj(text: str) -> TriangleMesh:
+def _text_lines(data: bytes, comment: tuple) -> list:
+    """The lines of a text mesh file, decoded as UTF-8.  A comment line, one
+    that starts with a `comment` prefix once stripped, may hold any bytes:
+    the parsers never read it.  Bytes that are not UTF-8 on any other line
+    raise MeshParseError with that line's number."""
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError:  # such bytes decode to lone surrogates here
+        lines = data.decode("utf-8", "surrogateescape").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if _UNDECODED.search(line) and not line.strip().startswith(comment):
+            raise MeshParseError("bytes that are not UTF-8 text", lineno)
+    return lines
+
+
+def _parse_obj(data: bytes) -> TriangleMesh:
     vertices = []
     faces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text_lines(data, ("#",)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -168,8 +186,8 @@ def _parse_obj(text: str) -> TriangleMesh:
                         np.array(faces, dtype=np.int64).reshape(-1, 3))
 
 
-def _parse_ply(text: str) -> TriangleMesh:
-    lines = text.splitlines()
+def _parse_ply(data: bytes) -> TriangleMesh:
+    lines = _text_lines(data, ("comment", "obj_info"))
     if not lines or lines[0].strip() != "ply":
         raise MeshParseError("missing 'ply' header", 1)
     spans, rows = {}, 0  # element name -> (first body row, row count)

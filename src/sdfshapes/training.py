@@ -63,12 +63,19 @@ class TrainConfig:
     squared_code_reg: bool = False
 
     def __post_init__(self):
+        # written so that NaN fails every float check
+        for name, code in CONFIG_RECORD:
+            if code == "d" and not np.isfinite(getattr(self, name)):
+                raise InvalidCount(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 0:
             raise InvalidCount("epochs must be >= 0")
         for name in ("initial_lr", "lr_halving_period", "latent_dim", "code_init_std",
-                     "surface_batch_size", "uniform_halfwidth", "knn_k"):
-            if getattr(self, name) <= 0:
-                raise InvalidCount(f"{name} must be positive")
+                     "surface_batch_size", "uniform_halfwidth", "knn_k", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise InvalidCount(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("tau", "lam", "offsurface_ratio"):
+            if not getattr(self, name) >= 0:
+                raise InvalidCount(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
             raise InvalidCount("adam betas must lie in [0, 1)")
         if self.seed < 0:
@@ -77,6 +84,9 @@ class TrainConfig:
             limit = 256 ** np.dtype(code).itemsize
             if code in "IQ" and getattr(self, name) >= limit:
                 raise InvalidCount(f"{name} must be < {limit}, got {getattr(self, name)}")
+        if not self.surface_batch_size * self.offsurface_ratio < 2 ** 32:
+            raise InvalidCount(f"offsurface_ratio = {self.offsurface_ratio!r} asks for "
+                               "2^32 or more off-surface points per step")
 
 
 @dataclass
@@ -193,9 +203,10 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
     """Run the Adam loop over all shapes and return a checkpoint.
 
     config.epochs is the target epoch count.  Training continues from
-    initial, or else from the epoch-0 checkpoint of config.seed; initial is
-    never modified.  metrics may be a path, appended to, or an open text
-    stream; it receives the CSV header when empty and one row per epoch.
+    initial, whose config must equal config in every other key, or else
+    from the epoch-0 checkpoint of config.seed; initial is never modified.
+    metrics may be a path, appended to, or an open text stream; it receives
+    the CSV header when empty and one row per epoch.
     """
     n = samples.validate().shape_count
     if arch is None:
@@ -215,6 +226,11 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
     if config.epochs < initial.epochs_completed:
         raise ConfigMismatch(f"target of {config.epochs} epochs is below the "
                              f"{initial.epochs_completed} already completed")
+    for name, _ in CONFIG_RECORD:  # a checkpoint records one config for all its epochs
+        new, old = getattr(config, name), getattr(initial.config, name)
+        if name != "epochs" and new != old:
+            raise ConfigMismatch(f"resume config sets {name} = {new!r}, but the "
+                                 f"checkpoint was trained with {old!r}")
     params = initial.params.copy()
     codes = initial.codes.copy()
     if initial.optimizer is None:

@@ -50,17 +50,33 @@ def tiny_checkpoint(n_codes=5, seed=3, latent_dim=4, width=32, epochs=0):
                       epochs_completed=0, seed=seed).validate()
 
 
-def assert_band_equals_dense(checkpoint, z, resolution):
-    """reconstruct_shape's narrow-band mesh, with 1 and 3 workers, has the
+def perturbed_checkpoint(seed, n_codes=3, latent_dim=4, width=32, layers=4):
+    """init_params with every weight perturbed by a seeded normal draw, and
+    codes of scale 0.3: smooth random fields far from a sphere, with a zero
+    set inside the lattice for 23 of the 24 codes of seeds 0-7."""
+    arch = Architecture(layer_count=layers, hidden_width=width,
+                        latent_dim=latent_dim, skip_layer=layers // 2)
+    params = init_params(arch, seed)
+    rng = np.random.default_rng([seed, 1])
+    for W in params.weights:
+        W += rng.normal(0.0, 0.3 / np.sqrt(W.shape[1]), W.shape)
+    codes = rng.normal(0.0, 0.3, (n_codes, latent_dim))
+    cfg = TrainConfig(epochs=1, latent_dim=latent_dim, surface_batch_size=32, seed=seed)
+    return Checkpoint(arch=arch, params=params, codes=codes, config=cfg,
+                      epochs_completed=0, seed=seed).validate()
+
+
+def assert_band_equals_dense(checkpoint, z, resolution, workers=(1, 3)):
+    """reconstruct_shape's narrow-band mesh, at each worker count, has the
     bytes of marching cubes on the dense grid (EmptySet where that is
     empty)."""
     ref = marching_cubes(eval_grid(checkpoint.params, z, resolution))
-    for workers in (1, 3):
+    for count in workers:
         if not len(ref.faces):
             with pytest.raises(EmptySet):
-                reconstruct_shape(checkpoint, z, resolution, workers=workers)
+                reconstruct_shape(checkpoint, z, resolution, workers=count)
             continue
-        mesh = reconstruct_shape(checkpoint, z, resolution, workers=workers)
+        mesh = reconstruct_shape(checkpoint, z, resolution, workers=count)
         for got, want in ((mesh.vertices, ref.vertices), (mesh.faces, ref.faces)):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()

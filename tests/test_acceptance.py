@@ -262,6 +262,26 @@ def test_band_evaluates_under_a_quarter_of_the_lattice(eight_sphere_model, monke
     assert 0 < sum(points) < R ** 3 / 4
 
 
+def test_band_certifies_node_signs_on_fixture(eight_sphere_model, monkeypatch):
+    # at R = 128, codes 0 and 7 and the four-code blend evaluated 97,612,
+    # 390,625 and 252,532 nodes when the last level evaluated every corner of
+    # its open cells, and 61,660, 237,081 and 154,634 once stride-2 values
+    # certify node signs (453,375 in all; 2.1M nodes per lattice)
+    ck, _ = eight_sphere_model
+    blend = combine_codes(ck.codes, CombinationWeights(
+        (1, 3, 4, 6), np.array([0.1, 0.2, 0.3, 0.4])))
+    points = []
+
+    def counting_forward(params, z, xs):
+        points.append(len(xs))
+        return forward(params, z, xs)
+
+    monkeypatch.setattr(isosurface, "forward", counting_forward)
+    for z in (ck.codes[0], ck.codes[7], blend):
+        reconstruct_shape(ck, z, 128)
+    assert 0 < sum(points) < 500_000
+
+
 # ------------------------------------------------------------- criterion 6
 
 def test_criterion_6_variance_ordering(eight_sphere_model, capfd):

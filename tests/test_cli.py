@@ -100,6 +100,19 @@ def test_train_resume_below_completed_epochs_fails(pipeline, tmp_path, capsys):
     assert not out.exists() and not metrics.exists()
 
 
+def test_train_resume_under_another_seed_fails(pipeline, tmp_path, capsys):
+    out, metrics = tmp_path / "reseeded.nsdf", tmp_path / "reseeded.csv"
+    cfg = tmp_path / "reseeded.cfg"
+    cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 4")
+                   .replace("seed = 3", "seed = 7"))
+    assert main(["train", "--samples", str(pipeline[2]), "--config", str(cfg),
+                 "--out", str(out), "--resume", str(pipeline[4]),
+                 "--metrics", str(metrics)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "resume config sets seed = 7" in err
+    assert not out.exists() and not metrics.exists()
+
+
 def test_train_bits_independent_of_blas_thread_count(tmp_path):
     # the desk-scale network: its skip layer's weight-gradient GEMM changes
     # bits with the OpenBLAS thread count unless training pins it to one
@@ -237,6 +250,35 @@ def test_evaluate_pairwise_rejects_non_finite_vertex(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_pairwise_ignores_non_utf8_comment(tmp_path):
+    for name, comment in (("plain", b""), ("latin1", b"# caf\xe9, in Latin-1\n")):
+        meshes = tmp_path / name
+        meshes.mkdir()
+        save_mesh(uv_sphere_mesh(0.8, 8, 12), meshes / "a.obj")
+        body = (meshes / "a.obj").read_bytes()
+        (meshes / "b.obj").write_bytes(comment + body)
+        assert main(["evaluate", "pairwise", "--mesh-dir", str(meshes),
+                     "--eval-points", "400", "--out", str(tmp_path / f"{name}.csv")]) == 0
+    # the comment is never read, so both reports have the same bytes
+    assert (tmp_path / "latin1.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_evaluate_pairwise_rejects_non_utf8_record(tmp_path, capsys):
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    save_mesh(uv_sphere_mesh(0.8, 8, 12), meshes / "a.obj")
+    lines = (meshes / "a.obj").read_bytes().splitlines(keepends=True)
+    lines[2] = b"v 0.5 0 \xe90.1\n"
+    (meshes / "b.obj").write_bytes(b"".join(lines))
+    out = tmp_path / "pairs.csv"
+    assert main(["evaluate", "pairwise", "--mesh-dir", str(meshes),
+                 "--eval-points", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert "line 3: bytes that are not UTF-8 text" in err
+    assert not out.exists()
+
+
 def test_evaluate_recon_rejects_non_finite_samples(pipeline, tmp_path, capsys):
     _, _, samples, _, ck = pipeline
     bad = load_sample_set(samples)
@@ -317,6 +359,18 @@ def test_train_rejects_knn_k_beyond_checkpoint_field(pipeline, capsys):
     assert _train_with(pipeline, "knn_k = 4294967296\n") == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "knn_k must be < 4294967296" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("offsurface_ratio", "nan"), ("offsurface_ratio", "1e300"),
+    ("hidden_width", "99999999999999999999"), ("uniform_halfwidth", "inf"),
+    ("initial_lr", "nan"), ("softplus_beta", "nan"), ("adam_eps", "-1"),
+])
+def test_train_rejects_out_of_range_setting_by_name(pipeline, capsys, key, value):
+    assert _train_with(pipeline, f"{key} = {value}\n") == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {key} ") and "\n" not in err
+    assert not (pipeline[0] / "extra.nsdf").exists()
 
 
 def test_train_rejects_non_finite_samples(pipeline, capsys):

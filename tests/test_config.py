@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdfshapes.config import RunSettings, parse_config, render_config
-from sdfshapes.errors import BadValue, UnknownKey
+from sdfshapes.config import _KEYS, RunSettings, parse_config, render_config
+from sdfshapes.errors import BadValue, SdfShapesError, UnknownKey
 from sdfshapes.field import Architecture
 from sdfshapes.training import TrainConfig
 
@@ -99,3 +99,14 @@ def test_render_parse_roundtrip_random(epochs, lr, tau, lam, d, width, layers,
                         skip_layer=max(1, layers // 2))
     s = RunSettings(train=train, arch=arch)
     assert parse_config(render_config(s)) == s
+
+
+_FLOAT_KEYS = [key for key, (_, _, parser) in _KEYS.items() if parser is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_setting_named(key, value):
+    attr = _KEYS[key][1]
+    with pytest.raises(SdfShapesError, match=f"^{attr} must be finite"):
+        parse_config(f"{key} = {value}\n")

@@ -15,8 +15,8 @@ from sdfshapes.isosurface import (_CHUNK, ScalarGrid, eval_grid, load_grid,
                                   marching_cubes, reconstruct_shape, save_grid)
 from sdfshapes.mc_tables import TRI_TABLE
 
-from conftest import (assert_band_equals_dense, random_params, tiny_arch,
-                      tiny_checkpoint)
+from conftest import (assert_band_equals_dense, perturbed_checkpoint, random_params,
+                      tiny_arch, tiny_checkpoint)
 
 
 def sphere_grid(R, radius=0.6, half=1.0):
@@ -289,6 +289,61 @@ def test_band_follows_the_surface_out_of_pruned_cells(monkeypatch):
     ck = tiny_checkpoint()
     for R in (40, 64):
         assert_band_equals_dense(ck, ck.codes[0], R)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_band_equals_dense_on_perturbed_fields(seed):
+    # R - 1 = 23, 32 and 39: three and four levels; where R - 1 is odd the
+    # last stride-2 gap is one spacing
+    ck = perturbed_checkpoint(seed)
+    for R in (24, 33, 40):
+        for z in ck.codes:
+            assert_band_equals_dense(ck, z, R, workers=(1, 2))
+
+
+def test_last_level_reads_only_known_certifiers(monkeypatch):
+    # every stride-2 value _certify reads must be a dense value already, and
+    # the signs it writes must be the dense signs
+    reads = []
+    eval_marked, certifiers = isosurface._eval_marked, isosurface._certifiers
+
+    def recording_eval_marked(params, z, grid, known, ax, marked, workers, margin=None):
+        if margin is None:
+            return eval_marked(params, z, grid, known, ax, marked, workers)
+        reads.append([known.copy(), []])
+        count = eval_marked(params, z, grid, known, ax, marked, workers, margin)
+        reads[-1].append(grid.values.copy())  # before the closing sweep
+        return count
+
+    def recording_certifiers(nodes, resolution):
+        certs, off = certifiers(nodes, resolution)
+        reads[-1][1].append((nodes, certs, off))
+        return certs, off
+
+    monkeypatch.setattr(isosurface, "_eval_marked", recording_eval_marked)
+    monkeypatch.setattr(isosurface, "_certifiers", recording_certifiers)
+    ck, tiny = perturbed_checkpoint(1), tiny_checkpoint()
+    cases = [(ck.params, z, R) for z in ck.codes for R in (7, 8, 24, 33, 40)]
+    cases += [(tiny.params, tiny.codes[0], R) for R in (20, 64)]
+    for params, z, R in cases:
+        reads.clear()
+        grid = isosurface._band_grid(params, z, R, 1)
+        dense = eval_grid(params, z, R).values.reshape(-1)
+        (known, calls, last), = reads  # one last level, with a margin from R = 7 up
+        # every placeholder, pruned or certified, has the dense sign
+        assert np.array_equal(last.reshape(-1) < 0, dense < 0)
+        for nodes, certs, off in calls:
+            assert known.reshape(-1)[certs].all() and not known.reshape(-1)[nodes].any()
+            assert grid.values.reshape(-1)[certs].tobytes() == dense[certs].tobytes()
+            # the certifiers are the stride-2 corners of the nodes' own cells
+            spread = np.abs(np.stack(np.unravel_index(certs, (R,) * 3))
+                            - np.stack(np.unravel_index(nodes, (R,) * 3))[:, None])
+            assert spread.max() <= 1 and ((spread == 1).sum(axis=0) == off).all()
+            assert (off >= 1).all()
+    for R in (3, 6):  # a single level: nothing to certify from
+        reads.clear()
+        isosurface._band_grid(ck.params, ck.codes[0], R, 1)
+        assert reads == []
 
 
 def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):

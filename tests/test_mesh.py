@@ -141,6 +141,37 @@ def test_ply_non_finite_vertex(tmp_path):
         load_mesh(p)
 
 
+_PLY_TRIANGLE = (b"ply\nformat ascii 1.0\ncomment made by caf\xe9 \xff\nelement vertex 3\n"
+                 b"property float x\nproperty float y\nproperty float z\n"
+                 b"element face 1\nproperty list uchar int vertex_indices\n"
+                 b"end_header\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+
+
+# file name -> (bytes, line of the error or None): any bytes in a comment
+_NON_UTF8 = {
+    "ok.obj": (b"  # \xe9\xff\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", None),
+    "ok.ply": (_PLY_TRIANGLE, None),
+    "tag.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\no caf\xe9\nf 1 2 3\n", 4),
+    "face.obj": (b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\xc3\n", 4),
+    "body.ply": (_PLY_TRIANGLE.replace(b"\n1 0 0\n", b"\n1 \xe9 0\n"), 12),
+    "header.ply": (_PLY_TRIANGLE.replace(b"\nelement face", b"\xe9\nelement face"), 7),
+}
+
+
+@pytest.mark.parametrize("name", _NON_UTF8)
+def test_non_utf8_bytes_only_in_comments(tmp_path, name):
+    data, line = _NON_UTF8[name]
+    p = tmp_path / name
+    p.write_bytes(data)
+    if line is None:
+        m = load_mesh(p)
+        assert np.array_equal(m.faces, [[0, 1, 2]])
+        return
+    with pytest.raises(MeshParseError, match="not UTF-8") as info:
+        load_mesh(p)
+    assert info.value.line_number == line
+
+
 # ---------------------------------------------------------------- save_mesh
 
 def _save_mesh_per_line(mesh, path):

@@ -261,6 +261,18 @@ def test_train_rejects_target_below_completed_epochs():
     assert checkpoint_bytes(again) == checkpoint_bytes(done)
 
 
+@pytest.mark.parametrize("change", [{"seed": 7}, {"initial_lr": 0.5}, {"knn_k": 3},
+                                    {"squared_code_reg": True}, {"tau": 0.25}])
+def test_train_resume_rejects_a_changed_config(change):
+    # the checkpoint records one config, so a resume may change only epochs
+    cfg4, samples, arch = _tiny_setup(4)
+    half = train(TrainConfig(**{**cfg4.__dict__, "epochs": 2}), samples, arch=arch)
+    (key, value), = change.items()
+    with pytest.raises(ConfigMismatch, match=f"resume config sets {key} = {value!r}, "
+                       f"but the checkpoint was trained with {getattr(cfg4, key)!r}"):
+        train(TrainConfig(**{**cfg4.__dict__, **change}), samples, arch=arch, initial=half)
+
+
 def test_train_validates_samples_before_any_step(monkeypatch):
     cfg, samples, arch = _tiny_setup(2)
     samples.points[1][5, 0] = np.nan
