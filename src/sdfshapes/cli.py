@@ -33,7 +33,7 @@ DEFAULT_RESOLUTION = 256  # lattice nodes per axis of every extracting command
 def _load_settings(config_path) -> RunSettings:
     if config_path is None:
         return parse_config("")
-    with open(config_path, "r", encoding="utf-8") as fh:
+    with open(config_path, "rb") as fh:
         return parse_config(fh.read())
 
 

@@ -5,6 +5,17 @@ maps them over a thread pool with one thread per usable core (numpy's
 ufuncs, BLAS and cKDTree's queries release the GIL); the results do not
 depend on the thread count.  generate_cohort and reconstruction_report mesh
 at most as many shapes at once as fit in physical memory.
+
+Every Chamfer KD-tree holds up to 64 points per leaf, not scipy's default
+16: fewer, larger leaves make each nearest-neighbour query visit fewer
+nodes for the same exact answer.  Timed on a 2-vCPU host over the meshes of
+a 16-shape R = 40 cohort, queries in row order: the 120-pair pool at 3000
+points took 393 ms against 437 ms at leaf 16 (449 ms at 128, 622 ms at
+256), and 15 pairs at 30000 points 2046 ms against 3159 ms (2023 ms at
+128).  Each cloud is also queried in its own tree's leaf order, so that
+neighbouring queries descend the same branches (393 -> 366 ms at 3000
+points); its distances are scattered back to row order before the mean, so
+every report keeps the bits of row-order queries at the default leaf size.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from .mesh import SurfaceSampleSet, sample_surface, save_mesh
 
 DEFAULT_EVAL_POINTS = 30000
 HISTOGRAM_BINS = 20
+_LEAF_SIZE = 64  # points per KD-tree leaf; see the module docstring
 
 
 @dataclass
@@ -164,14 +176,24 @@ def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1, 3)
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("chamfer distance needs nonempty point sets")
-    return _chamfer(a, cKDTree(a), b, cKDTree(b))
+    return _chamfer(a, cKDTree(a, leafsize=_LEAF_SIZE), b, cKDTree(b, leafsize=_LEAF_SIZE))
 
 
 def _chamfer(a: np.ndarray, tree_a, b: np.ndarray, tree_b) -> float:
     """chamfer_distance of point sets a and b, given a KD-tree of each."""
-    d_ab, _ = tree_b.query(a)
-    d_ba, _ = tree_a.query(b)
-    return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
+    return float(np.mean(_nearest(a, tree_a, tree_b) ** 2)
+                 + np.mean(_nearest(b, tree_b, tree_a) ** 2))
+
+
+def _nearest(points: np.ndarray, own_tree, other_tree) -> np.ndarray:
+    """Distance from each of points to its nearest neighbour in other_tree.
+    The points are queried in the leaf order of own_tree, their own KD-tree,
+    so consecutive queries descend the same branches; each distance lands in
+    its point's row, so the result has the bits of a query in row order."""
+    order = own_tree.indices
+    d = np.empty(len(points))
+    d[order] = other_tree.query(points[order])[0]
+    return d
 
 
 @dataclass
@@ -255,7 +277,7 @@ def pairwise_report(meshes, eval_points: int = DEFAULT_EVAL_POINTS,
         raise TooFewMeshes("pairwise report needs at least 2 meshes")
     clouds = [sample_surface(m, eval_points, (seed, i)).points[0]
               for i, m in enumerate(meshes)]
-    trees = [cKDTree(c) for c in clouds]
+    trees = [cKDTree(c, leafsize=_LEAF_SIZE) for c in clouds]
     pairs = [(i, j) for i in range(len(meshes)) for j in range(i + 1, len(meshes))]
 
     def pair(ij):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import BadValue, UnknownKey
 from .field import Architecture
+from .mesh import _UNDECODED
 from .training import CONFIG_RECORD, TrainConfig
 
 
@@ -45,13 +46,19 @@ _KEYS = {
 }
 
 
-def parse_config(text: str) -> RunSettings:
-    """Parse configuration text; unspecified keys keep their defaults."""
+def parse_config(text: str | bytes) -> RunSettings:
+    """Parse configuration text, or a configuration file's bytes, decoded as
+    UTF-8; a comment may hold any bytes.  Unspecified keys keep their
+    defaults."""
+    if isinstance(text, bytes):  # bytes that are not UTF-8 become lone surrogates
+        text = text.decode("utf-8", "surrogateescape")
     kwargs = {"train": {}, "arch": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if _UNDECODED.search(line):
+            raise BadValue(f"line {lineno}: bytes that are not UTF-8 text")
         if "=" not in line:
             raise BadValue(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")

@@ -63,6 +63,10 @@ class InvalidResolution(SdfShapesError):
     pass
 
 
+class NetworkTooLarge(SdfShapesError):
+    pass
+
+
 class NotConvex(SdfShapesError):
     pass
 

@@ -77,6 +77,16 @@ class Architecture:
             dims.append((din, dout))
         return dims
 
+    def parameter_count(self) -> int:
+        """Weights and biases of all layers, the sum of (in + 1) * out over
+        layer_dims(), in closed form so that it costs nothing at any size."""
+        L, H, d_in = self.layer_count, self.hidden_width, self.input_dim
+        if L == 1:
+            return d_in + 1
+        # first, middle and last layers, then the skip layer's extra d_in inputs
+        skip_out = H if self.skip_layer < L - 1 else 1
+        return (d_in + 1) * H + (L - 2) * (H + 1) * H + (H + 1) + d_in * skip_out
+
 
 @dataclass
 class FieldParams:

@@ -7,6 +7,7 @@ even for non-watertight inputs.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 
@@ -27,6 +28,9 @@ SAMPLESET_MAGIC = b"NSDS"
 SAMPLESET_VERSION = 1
 # what bytes that are not UTF-8 decode to under "surrogateescape"
 _UNDECODED = re.compile("[\udc80-\udcff]")
+# every byte that a save_mesh file can hold
+_SAVED_OBJ_BYTES = b"0123456789+-.eEvf \n"
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 @dataclass
@@ -149,6 +153,48 @@ def _text_lines(data: bytes, comment: tuple) -> list:
 
 
 def _parse_obj(data: bytes) -> TriangleMesh:
+    """The mesh of an OBJ file: a file in save_mesh's layout takes
+    _parse_saved_obj, every other file, and any it rejects, the line parser."""
+    mesh = _parse_saved_obj(data)
+    return _parse_obj_lines(data) if mesh is None else mesh
+
+
+def _parse_saved_obj(data: bytes):
+    """The mesh of an OBJ in the layout save_mesh writes for a mesh with
+    faces: one `v x y z` block, then one `f a b c` block of positive indices,
+    single spaces and `\\n` line ends, each block read by one np.loadtxt.
+    None for any other file.
+
+    np.loadtxt reads a number as float() and int() do, apart from the `_`
+    separators they also take, which it rejects; so what it accepts has the
+    line parser's bits.  Only the bytes save_mesh writes are let in, which
+    keeps out the ones that end a line for str.splitlines but not for
+    np.loadtxt (\\x0b, \\x0c, \\x1c-\\x1e)."""
+    if data.translate(None, _SAVED_OBJ_BYTES):
+        return None
+    cut = data.find(b"\nf ") + 1  # 0, and an empty vertex block, if there is none
+    vertices = _saved_block(data[:cut], b"v ", np.float64)
+    faces = _saved_block(data[cut:], b"f ", np.int64)
+    if vertices is None or faces is None or (faces < 1).any():
+        return None
+    return TriangleMesh(vertices, faces - 1)
+
+
+def _saved_block(block: bytes, tag: bytes, dtype):
+    """Columns 1-3 of a non-empty block of lines `tag a b c\\n`, or None when
+    the block is empty, a line differs from that or a token does not parse."""
+    rows = block.count(b"\n")
+    if (not block.startswith(tag) or block.count(b"\n" + tag) != rows - 1
+            or block.count(b" ") != 3 * rows):
+        return None  # some line is not `tag` and three tokens ended by \n
+    try:
+        return np.loadtxt(io.StringIO(block.decode("ascii")), dtype=dtype, delimiter=" ",
+                          usecols=(1, 2, 3), comments=None, ndmin=2)
+    except ValueError:  # a token that is not a number, or overflows int64
+        return None
+
+
+def _parse_obj_lines(data: bytes) -> TriangleMesh:
     vertices = []
     faces = []
     for lineno, raw in enumerate(_text_lines(data, ("#",)), start=1):
@@ -178,6 +224,8 @@ def _parse_obj(data: bytes) -> TriangleMesh:
                     i = len(vertices) + i  # OBJ relative indexing
                 else:
                     i = i - 1
+                if i not in _INT64:
+                    raise MeshParseError(f"face index {token!r} out of range", lineno)
                 idx.append(i)
             for a, b in zip(idx[1:], idx[2:]):
                 faces.append([idx[0], a, b])
@@ -245,6 +293,8 @@ def _parse_ply(data: bytes) -> TriangleMesh:
             raise MeshParseError(f"bad face row {body[f0 + i]!r}", lineno)
         if cnt < 3 or len(idx) != cnt:
             raise MeshParseError("face needs at least 3 indices", lineno)
+        if not all(j in _INT64 for j in idx):
+            raise MeshParseError(f"face index out of range in {body[f0 + i]!r}", lineno)
         for a, b in zip(idx[1:], idx[2:]):
             faces.append([idx[0], a, b])
     return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))

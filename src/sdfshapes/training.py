@@ -24,11 +24,13 @@ from .errors import (
     ConfigMismatch,
     EmptySurfaceSet,
     InvalidCount,
+    NetworkTooLarge,
     NonFiniteLoss,
     ShapeMismatch,
     TooFewPoints,
 )
 from .field import Architecture, FieldParams, init_params, loss_gradients
+from .isosurface import _physical_memory
 from .mesh import SurfaceSampleSet
 
 METRICS_HEADER = "epoch,mean_total,mean_surface,mean_normal,mean_eikonal,mean_codereg,lr"
@@ -194,6 +196,17 @@ def adam_step(value, grad, m, v, step, lr,
     return value
 
 
+def _check_network_fits(arch: Architecture) -> None:
+    """NetworkTooLarge unless the parameters and Adam's two moments of each,
+    3 float64 per parameter, fit in physical memory."""
+    need, phys = 3 * 8 * arch.parameter_count(), _physical_memory()
+    if phys is not None and need > phys:
+        raise NetworkTooLarge(
+            f"layer_count = {arch.layer_count}, hidden_width = {arch.hidden_width}, "
+            f"latent_dim = {arch.latent_dim}: the network needs {need} bytes for its "
+            f"parameters and Adam moments, more than the {phys} bytes of physical memory")
+
+
 @one_blas_thread()
 def train(config: TrainConfig, samples: SurfaceSampleSet,
           arch: Architecture | None = None,
@@ -214,6 +227,7 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
     if arch.latent_dim != config.latent_dim:
         raise ConfigMismatch("config latent_dim does not match the architecture")
     if initial is None:
+        _check_network_fits(arch)
         codes = np.random.default_rng([config.seed, 0]).normal(
             0.0, config.code_init_std, size=(n, config.latent_dim))
         initial = Checkpoint(arch=arch, params=init_params(arch, config.seed),

@@ -279,6 +279,22 @@ def test_evaluate_pairwise_rejects_non_utf8_record(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_pairwise_rejects_face_index_beyond_int64(tmp_path, capsys):
+    meshes = tmp_path / "meshes"
+    meshes.mkdir()
+    save_mesh(uv_sphere_mesh(0.8, 8, 12), meshes / "a.obj")
+    (meshes / "b.obj").write_text((meshes / "a.obj").read_text()
+                                  + "f 1 2 99999999999999999999\n")
+    lineno = len((meshes / "b.obj").read_text().splitlines())
+    out = tmp_path / "pairs.csv"
+    assert main(["evaluate", "pairwise", "--mesh-dir", str(meshes),
+                 "--eval-points", "400", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+    assert f"line {lineno}: face index '99999999999999999999' out of range" in err
+    assert not out.exists()
+
+
 def test_evaluate_recon_rejects_non_finite_samples(pipeline, tmp_path, capsys):
     _, _, samples, _, ck = pipeline
     bad = load_sample_set(samples)
@@ -371,6 +387,21 @@ def test_train_rejects_out_of_range_setting_by_name(pipeline, capsys, key, value
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"error: {key} ") and "\n" not in err
     assert not (pipeline[0] / "extra.nsdf").exists()
+
+
+def test_train_config_non_utf8_bytes_only_in_comments(pipeline, capsys):
+    root, _, samples, _, _ = pipeline
+    cfg = root / "latin1.cfg"
+    argv = ["train", "--samples", str(samples), "--config", str(cfg),
+            "--out", str(root / "latin1.nsdf")]
+    cfg.write_bytes(TINY_CONFIG.encode() + b"# caf\xe9\n")
+    assert main(argv) == 0
+    cfg.write_bytes(TINY_CONFIG.encode() + b"tau = 0.\xe9 # caf\xe9\n")
+    os.remove(root / "latin1.nsdf")
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: line {TINY_CONFIG.count(chr(10)) + 1}: bytes that are not UTF-8 text"
+    assert not (root / "latin1.nsdf").exists()
 
 
 def test_train_rejects_non_finite_samples(pipeline, capsys):

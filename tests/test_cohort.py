@@ -18,7 +18,7 @@ from sdfshapes.errors import (DuplicateIndex, EmptySet, IndexOutOfRange,
                               InterpCountTooLarge, NotConvex, ShapeMismatch,
                               TooFewMeshes)
 from sdfshapes.isosurface import reconstruct_shape
-from sdfshapes.mesh import SurfaceSampleSet, sample_surface
+from sdfshapes.mesh import SurfaceSampleSet, TriangleMesh, sample_surface
 from sdfshapes.primitives import uv_sphere_mesh
 
 from conftest import tiny_checkpoint
@@ -248,6 +248,52 @@ def test_chamfer_matches_brute_force_and_symmetry(seed, na, nb):
     assert got >= 0
 
 
+def _default_leaf_chamfer(a, b):
+    """chamfer_distance through KD-trees at scipy's default leaf size,
+    queried in row order: the reference for its bits."""
+    d_ab = cKDTree(b).query(a)[0]
+    d_ba = cKDTree(a).query(b)[0]
+    return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
+
+
+@st.composite
+def _clouds(draw):
+    """A point cloud whose rows repeat when it draws more rows than its base
+    holds, and whose coordinates are rounded to tie distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    base = np.round(rng.normal(size=(draw(st.integers(1, 300)), 3)),
+                    draw(st.sampled_from([0, 1, 2, 17])))
+    return base[rng.integers(0, len(base), draw(st.integers(1, 600)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_clouds(), _clouds())
+def test_chamfer_same_bits_as_default_leaf_row_order(a, b):
+    got = chamfer_distance(a, b)
+    assert np.float64(got).tobytes() == np.float64(_default_leaf_chamfer(a, b)).tobytes()
+
+
+# a triangle one ulp across: its samples take at most 4 distinct positions
+_ULP_TRIANGLE = TriangleMesh(np.array([[1.0, 1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0, 1.0],
+                                       [1.0, np.nextafter(1.0, 2.0), 1.0]]),
+                             np.array([[0, 1, 2]]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3), st.booleans(),
+       st.integers(2, 700), st.integers(0, 2**31 - 1))
+def test_pairwise_same_bits_as_default_leaf_row_order(radii, with_ulp_triangle,
+                                                      eval_points, seed):
+    meshes = [uv_sphere_mesh(r, 6, 8) for r in radii]
+    meshes += [_ULP_TRIANGLE] if with_ulp_triangle else [uv_sphere_mesh(0.5, 5, 7)]
+    clouds = [sample_surface(m, eval_points, (seed, i)).points[0]
+              for i, m in enumerate(meshes)]
+    report = pairwise_report(meshes, eval_points, seed)
+    want = [_default_leaf_chamfer(clouds[i], clouds[j])
+            for i in range(len(meshes)) for j in range(i + 1, len(meshes))]
+    assert report.values.tobytes() == np.array(want).tobytes()
+
+
 # ---------------------------------------------------------- DistanceReport
 
 def test_report_summary_recomputable():
@@ -335,9 +381,9 @@ def test_pairwise_one_tree_per_cloud_same_bits(monkeypatch, pool_workers):
     for workers in (1, 3):
         builds = []
 
-        def counting_tree(points):
+        def counting_tree(points, **options):
             builds.append(len(points))
-            return cKDTree(points)
+            return cKDTree(points, **options)
 
         monkeypatch.setattr(cohort, "cKDTree", counting_tree)
         pool_workers(workers)

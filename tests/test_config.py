@@ -47,6 +47,17 @@ def test_comments_and_blank_lines():
     assert s.train.tau == 0.25
 
 
+def test_comment_may_hold_any_bytes():
+    s = parse_config(b"# caf\xe9\n  tau = 0.25  # \xff\xfe trailing note\n")
+    assert s.train.tau == 0.25
+
+
+@pytest.mark.parametrize("line", [b"tau = 0.2\xe9", b"ta\xffu = 0.2", b"\xe9 # note"])
+def test_non_utf8_bytes_before_a_comment_name_the_line(line):
+    with pytest.raises(BadValue, match="^line 2: bytes that are not UTF-8 text$"):
+        parse_config(b"epochs = 3\n" + line + b"\n")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(BadValue):
         parse_config("epochs 10\n")

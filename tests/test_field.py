@@ -34,6 +34,15 @@ def test_architecture_defaults_and_dims():
     assert dims[7] == (512, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 40), st.integers(1, 20), st.integers(1, 8))
+def test_parameter_count_sums_layer_dims(layers, width, latent, skip):
+    arch = Architecture(layer_count=layers, hidden_width=width, latent_dim=latent,
+                        skip_layer=min(skip, max(1, layers - 1)))
+    want = sum((din + 1) * dout for din, dout in arch.layer_dims())
+    assert arch.parameter_count() == want == len(init_params(arch, 0).flatten())
+
+
 def test_architecture_validation():
     with pytest.raises(DimensionMismatch):
         Architecture(layer_count=0)

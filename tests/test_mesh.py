@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from sdfshapes import mesh as mesh_mod
 from sdfshapes.errors import (BadMagic, DegenerateMesh, IndexOutOfRange,
                               InvalidCount, MeshParseError, NonFiniteValue,
-                              ShapeInconsistency, TruncatedFile,
-                              UnsupportedVersion, ZeroArea)
+                              SdfShapesError, ShapeInconsistency,
+                              TruncatedFile, UnsupportedVersion, ZeroArea)
 from sdfshapes.mesh import (SurfaceSampleSet, TriangleMesh, load_mesh,
                             load_sample_set, normalize_unit_ball,
                             sample_surface, save_mesh, save_sample_set)
 from sdfshapes.primitives import box_mesh, uv_sphere_mesh
+
+from conftest import CUBE_OBJ
 
 
 # ---------------------------------------------------------------- load_mesh
@@ -172,6 +175,166 @@ def test_non_utf8_bytes_only_in_comments(tmp_path, name):
     assert info.value.line_number == line
 
 
+_HUGE = "99999999999999999999"
+
+
+# file name -> (text, line of the face index that int64 cannot hold)
+_INT64_OVERFLOW = {
+    "huge.obj": (f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {_HUGE}\n", 4),
+    "relative.obj": (f"v 0 0 0\nv 1 0 0\nv 0 1 0\n\nf -{_HUGE} 1 2\n", 5),
+    "edge.obj": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9223372036854775809\n", 4),
+    "huge.ply": (_PLY_TRIANGLE.decode("latin-1").replace("3 0 1 2", f"3 0 1 {_HUGE}"), 14),
+}
+
+
+@pytest.mark.parametrize("name", _INT64_OVERFLOW)
+def test_face_index_beyond_int64_is_a_parse_error(tmp_path, name):
+    text, line = _INT64_OVERFLOW[name]
+    p = tmp_path / name
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(MeshParseError, match="out of range") as info:
+        load_mesh(p)
+    assert info.value.line_number == line
+
+
+def _outcome(read):
+    """What read() makes of a mesh file: the validated arrays, or the
+    SdfShapesError's type and line number."""
+    try:
+        m = read().validate()
+    except SdfShapesError as exc:
+        return type(exc), getattr(exc, "line_number", None)
+    return (m.vertices.shape, m.vertices.tobytes(), m.faces.shape, m.faces.tobytes())
+
+
+def _line_parser(data):
+    return lambda: mesh_mod._parse_obj_lines(data)
+
+
+def test_save_mesh_file_never_reaches_the_line_parser(tmp_path, monkeypatch):
+    path = tmp_path / "saved.obj"
+    save_mesh(uv_sphere_mesh(0.7, 9, 14), path)
+    want = _outcome(_line_parser(path.read_bytes()))
+
+    def fail(data):
+        raise AssertionError("a save_mesh file fell back on the line parser")
+
+    monkeypatch.setattr(mesh_mod, "_parse_obj_lines", fail)
+    assert _outcome(lambda: load_mesh(path)) == want
+
+
+_coordinates = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1.5e22, 5e-324, 1.0 / 3.0, 123456789.5]))
+
+
+# tokens that float() or int() may read differently from np.loadtxt
+_ODD_TOKENS = ["+1", "1E5", ".5", "5.", "-0", "1_0", "0x1p3", "inf", "nan", "1e400",
+               "+3", "007", "3.0", "-1", "-2", "0", _HUGE, "9223372036854775808", "1/2/3",
+               "2//1", "caf\xe9", "\u0663"]
+_NON_ASCII = [b"\xe9\xff", "\u00e9".encode(), "\u2028".encode()]
+
+
+def _edit_obj(lines: list, edit) -> None:
+    """Apply one drawn edit to an OBJ file's lines (bytes, no line ends)."""
+    kind, at, column, token = edit
+    k = at % len(lines)
+    if kind == "blank":
+        lines.insert(k, b"")
+        return
+    if kind == "comment":
+        lines.insert(k, b"# note " + _NON_ASCII[column])
+        return
+    tokens = lines[k].split(b" ")
+    if len(tokens) < 4:  # a blank or comment line from an earlier edit
+        return
+    if kind == "token":
+        tokens[1 + column] = token.encode()
+    elif kind == "extra":  # a fourth face index makes a quad
+        tokens.append(token.encode())
+    elif kind == "tag":  # another record type, or a v line among the faces
+        tokens[0] = (b"v", b"f", b"vv", b"e", b"fv")[column + at % 3]
+    elif kind == "control":  # bytes that end a line for str.splitlines only
+        tokens[1 + column] += (b"\x0b", b"\x0c", b"\x1c", b"\r")[at % 4]
+    elif kind == "tab":
+        tokens[:2] = [tokens[0] + b"\t" + tokens[1]]
+    else:
+        tokens[column] += _NON_ASCII[column]
+    lines[k] = b" ".join(tokens)
+
+
+# edits to a save_mesh file; the layout ones are drawn less often, so that
+# many files keep the layout and take np.loadtxt with an odd token
+_edits = st.tuples(st.sampled_from(["token"] * 6 + ["extra"] * 2 + [
+                       "tag", "control", "tab", "blank", "comment", "non_ascii", "crlf",
+                       "no_final_newline"]),
+                   st.integers(0, 10 ** 6), st.integers(0, 2), st.sampled_from(_ODD_TOKENS))
+
+
+_TRIANGLE = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.tuples(_coordinates, _coordinates, _coordinates), min_size=3,
+                max_size=12),
+       st.integers(0, 2 ** 31 - 1), st.integers(0, 12), st.lists(_edits, max_size=3))
+# a relative index, and a first line of each block that is another record
+@example(_TRIANGLE, 0, 1, [("token", 3, 0, "-1")])
+@example(_TRIANGLE, 0, 1, [("tag", 0, 2, "")])
+@example(_TRIANGLE, 0, 2, [("tag", 3, 2, "")])
+def test_obj_reader_equals_line_parser(tmp_path_factory, vertices, seed, n_faces, edits):
+    n = len(vertices)
+    faces = np.array([np.random.default_rng([seed, k]).choice(n, 3, replace=False)
+                      for k in range(n_faces)]).reshape(-1, 3)
+    path = tmp_path_factory.mktemp("obj") / "m.obj"
+    save_mesh(TriangleMesh(np.array(vertices), faces), path)
+    lines = path.read_bytes().splitlines()
+    for edit in edits:
+        if edit[0] not in ("crlf", "no_final_newline"):
+            _edit_obj(lines, edit)
+    kinds = {kind for kind, *_ in edits}
+    data = (b"\r\n" if "crlf" in kinds else b"\n").join(lines)
+    if "no_final_newline" not in kinds:
+        data += b"\n"
+    path.write_bytes(data)
+    assert _outcome(lambda: load_mesh(path)) == _outcome(_line_parser(data))
+
+
+_FUZZ_BASES = {
+    "obj": b"# a cube and a quad\n" + CUBE_OBJ.encode() + b"f 1/1 2/2 3/3 4/4\n",
+    "ply": _PLY_TRIANGLE,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_BASES) + ["saved"]),
+       st.lists(st.tuples(st.sampled_from(["flip", "cut", "insert"]),
+                          st.integers(0, 10 ** 6), st.binary(min_size=1, max_size=4)),
+                min_size=1, max_size=4))
+def test_mesh_readers_raise_only_package_errors_on_mutated_files(
+        tmp_path_factory, base, mutations):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if base == "saved":
+        save_mesh(uv_sphere_mesh(0.5, 4, 6), tmp / "saved.obj")
+        data = bytearray((tmp / "saved.obj").read_bytes())
+    else:
+        data = bytearray(_FUZZ_BASES[base])
+    for kind, at, chunk in mutations:
+        k = at % (len(data) + 1)
+        if kind == "flip" and data:
+            data[at % len(data)] ^= chunk[0] or 0x80
+        elif kind == "cut":
+            del data[k:]
+        elif kind == "insert":
+            data[k:k] = chunk
+    path = tmp / ("m.ply" if base == "ply" else "m.obj")
+    path.write_bytes(bytes(data))
+    try:
+        load_mesh(path)
+    except SdfShapesError:
+        pass
+
+
 # ---------------------------------------------------------------- save_mesh
 
 def _save_mesh_per_line(mesh, path):
@@ -181,11 +344,6 @@ def _save_mesh_per_line(mesh, path):
             fh.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
         for f in mesh.faces:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-
-
-_coordinates = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 1e-300, -1.5e22, 5e-324, 1.0 / 3.0, 123456789.5]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ from scipy.spatial import cKDTree
 from sdfshapes import training
 from sdfshapes.checkpoint_io import checkpoint_bytes
 from sdfshapes.errors import (ConfigMismatch, EmptySurfaceSet, InvalidCount,
+                              NetworkTooLarge,
                               NonFiniteLoss, NonFiniteValue, ShapeMismatch,
                               TooFewPoints)
 from sdfshapes.field import Architecture, init_params
@@ -336,6 +337,26 @@ def test_train_resume_arch_mismatch():
     with pytest.raises(ConfigMismatch):
         train(TrainConfig(**{**cfg.__dict__, "epochs": 4}), samples,
               arch=other, initial=ck)
+
+
+def test_train_refuses_a_network_beyond_physical_memory(monkeypatch):
+    def fail(*args):
+        raise AssertionError("init_params was called")
+
+    cfg, samples, _ = _tiny_setup(0)
+    monkeypatch.setattr(training, "init_params", fail)
+    # six 100000 x 100000 layers: 1.7e12 bytes with Adam's two moments
+    with pytest.raises(NetworkTooLarge, match="hidden_width = 100000") as info:
+        train(cfg, samples, arch=Architecture(hidden_width=100000, latent_dim=4))
+    assert str(info.value).startswith("layer_count = 8, hidden_width = 100000, latent_dim = 4")
+    # the bound is 3 float64 per parameter
+    arch = tiny_arch(latent_dim=4, width=8, layers=3, skip=1)
+    monkeypatch.setattr(training, "_physical_memory", lambda: 24 * arch.parameter_count() - 1)
+    with pytest.raises(NetworkTooLarge):
+        train(cfg, samples, arch=arch)
+    monkeypatch.setattr(training, "_physical_memory", lambda: 24 * arch.parameter_count())
+    with pytest.raises(AssertionError, match="init_params was called"):
+        train(cfg, samples, arch=arch)
 
 
 def test_train_latent_dim_mismatch():
