@@ -13,8 +13,7 @@ from .mesh import (NormalizationTransform, SurfaceSampleSet, TriangleMesh,
 from .training import (Checkpoint, OptimizerState, TrainConfig, adam_step,
                        learning_rate_at, local_sigmas, sample_off_surface,
                        train)
-from .isosurface import (ScalarGrid, eval_grid, load_grid, marching_cubes,
-                         reconstruct_shape, save_grid)
+from .isosurface import ScalarGrid, eval_grid, marching_cubes, reconstruct_shape
 from .cohort import (CohortManifest, CombinationWeights, DistanceReport,
                      chamfer_distance, combine_codes, generate_cohort,
                      pairwise_report, reconstruction_report)

@@ -6,14 +6,17 @@ each layer's f64 weight and bias, the codebook, the config record laid out
 by training.CONFIG_RECORD, u32 epochs_completed, u64 seed and a 0/1 byte
 that says whether the Adam state follows: u64 step_params, a u64 step
 count per code, each layer's (m_W, v_W, m_b, v_b) and the code moments.
-The reader also rejects flag bytes other than 0 or 1, and a layer count
-that the bytes left cannot hold, before it sizes any tensor.
+The reader also rejects flag bytes other than 0 or 1, a layer count that
+the bytes left cannot hold, before it sizes any tensor, and an Adam state
+the trainer cannot write.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
+
+import numpy as np
 
 from .container import Reader, Writer, write_atomic
 from .errors import ShapeInconsistency, TruncatedFile
@@ -66,6 +69,32 @@ def _flag(value: int, name: str) -> bool:
     return bool(value)
 
 
+def _adam_state(r: Reader, dims: list, n: int, latent_dim: int) -> OptimizerState:
+    """The Adam state after the optimizer flag.  ShapeInconsistency, naming
+    the tensor, for a state the trainer cannot write: a step count of 2^63
+    or more, a non-finite moment or a negative second moment."""
+    (step_params,) = r.unpack("<Q")
+    step_codes = r.array((n,), "<u8")
+    for name, steps in (("step_params", step_params), ("step_codes", step_codes)):
+        if (np.asarray(steps) >= 2 ** 63).any():  # checked before the int64 cast
+            raise ShapeInconsistency(f"checkpoint {name} holds a step count of 2^63 or more")
+    moments = {"m_weights": [], "v_weights": [], "m_biases": [], "v_biases": []}
+    for din, dout in dims:
+        for name, shape in zip(moments, ((dout, din), (dout, din), (dout,), (dout,))):
+            moments[name].append(r.array(shape))
+    m_codes = r.array((n, latent_dim))
+    v_codes = r.array((n, latent_dim))
+    tensors = [(f"{name}[{k}]", a) for name, arrays in moments.items()
+               for k, a in enumerate(arrays)] + [("m_codes", m_codes), ("v_codes", v_codes)]
+    for name, a in tensors:
+        if not np.isfinite(a).all():
+            raise ShapeInconsistency(f"checkpoint {name} holds a non-finite moment")
+        if name.startswith("v") and (a < 0).any():
+            raise ShapeInconsistency(f"checkpoint {name} holds a negative second moment")
+    return OptimizerState(*moments.values(), m_codes, v_codes, step_params,
+                          step_codes.astype(np.int64))
+
+
 def load_checkpoint(path) -> Checkpoint:
     r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     arch = Architecture(*r.unpack("<IIIId"))
@@ -85,18 +114,7 @@ def load_checkpoint(path) -> Checkpoint:
     epochs_completed, seed = r.unpack("<IQ")
     opt = None
     if _flag(*r.unpack("<B"), "optimizer"):
-        (step_params,) = r.unpack("<Q")
-        step_codes = r.array((n,), "<u8").astype("int64")
-        m_w, v_w, m_b, v_b = [], [], [], []
-        for din, dout in dims:
-            m_w.append(r.array((dout, din)))
-            v_w.append(r.array((dout, din)))
-            m_b.append(r.array((dout,)))
-            v_b.append(r.array((dout,)))
-        m_codes = r.array((n, arch.latent_dim))
-        v_codes = r.array((n, arch.latent_dim))
-        opt = OptimizerState(m_w, v_w, m_b, v_b, m_codes, v_codes,
-                             step_params, step_codes)
+        opt = _adam_state(r, dims, n, arch.latent_dim)
     r.finish()
     if config.latent_dim != arch.latent_dim:
         raise ShapeInconsistency("config latent_dim disagrees with architecture")

@@ -211,9 +211,9 @@ class DistanceReport:
         return {"count": len(v), "mean": float(v.mean()), "std": float(v.std()),
                 "min": float(v.min()), "max": float(v.max())}
 
-    def histogram(self, bins: int = HISTOGRAM_BINS):
+    def histogram(self):
         v = self.values
-        counts, edges = np.histogram(v, bins=bins, range=(v.min(), v.max()))
+        counts, edges = np.histogram(v, bins=HISTOGRAM_BINS, range=(v.min(), v.max()))
         return edges, counts
 
     def to_csv(self, path) -> None:

@@ -1,4 +1,4 @@
-"""Binary framing shared by the NSDS, NSDF and NSDG containers.
+"""Binary framing shared by the NSDS and NSDF containers.
 
 A container is little-endian: 4-byte magic, u32 version, then struct-packed
 scalars and raw arrays.  Reader raises BadMagic or UnsupportedVersion on a

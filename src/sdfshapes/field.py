@@ -114,22 +114,6 @@ class FieldParams:
                            [W.copy() for W in self.weights],
                            [b.copy() for b in self.biases])
 
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for pair in zip(self.weights, self.biases)
-                               for a in pair])
-
-    @classmethod
-    def from_flat(cls, arch: Architecture, flat: np.ndarray) -> "FieldParams":
-        weights, biases, off = [], [], 0
-        for din, dout in arch.layer_dims():
-            weights.append(flat[off:off + dout * din].reshape(dout, din).copy())
-            off += dout * din
-            biases.append(flat[off:off + dout].copy())
-            off += dout
-        if off != flat.size:
-            raise DimensionMismatch("flat vector length mismatch")
-        return cls(arch, weights, biases)
-
 
 @dataclass
 class LossBreakdown:

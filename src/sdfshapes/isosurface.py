@@ -1,7 +1,7 @@
 """Uniform grid evaluation of the field and marching-cubes extraction.
 
 Grid values are stored as values[i, j, k] for the lattice point
-(x_i, y_j, z_k); serialization and cell traversal use x-fastest order.
+(x_i, y_j, z_k); cell traversal uses x-fastest order.
 The lattice is fixed at [-1.1, 1.1]^3.  eval_grid evaluates every node;
 reconstruct_shape evaluates only the nodes near the zero set, coarse to
 fine, and each node it evaluates gets eval_grid's bits.  On its last level
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blas import pool_map
-from .container import Reader, Writer
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -33,8 +32,6 @@ from .field import _BLOCK, FieldParams, forward
 from .mc_tables import TRI_TABLE
 from .mesh import TriangleMesh
 
-GRID_MAGIC = b"NSDG"
-GRID_VERSION = 1
 DEFAULT_HALFWIDTH = 1.1
 _CHUNK = 16 * _BLOCK  # lattice nodes per forward call: 16 padded blocks
 _COARSE_STRIDE = 16  # the narrow band's first sub-lattice
@@ -398,22 +395,3 @@ def reconstruct_shape(checkpoint, code: np.ndarray, resolution: int,
         raise EmptySet(f"the zero set misses the [-{DEFAULT_HALFWIDTH}, "
                        f"{DEFAULT_HALFWIDTH}]^3 lattice at resolution {resolution}")
     return mesh
-
-
-def save_grid(grid: ScalarGrid, path) -> None:
-    """Binary container: magic, version, u32 resolution, lower and upper
-    corners, then the values with x fastest (LE float64)."""
-    with open(path, "wb") as fh:
-        w = Writer(fh, GRID_MAGIC, GRID_VERSION)
-        w.pack("<I", grid.resolution)
-        w.array(np.concatenate([grid.lower, grid.upper]))
-        w.array(grid.values.ravel(order="F"))
-
-
-def load_grid(path) -> ScalarGrid:
-    r = Reader(path, GRID_MAGIC, GRID_VERSION, "grid")
-    (R,) = r.unpack("<I")
-    bounds = r.array((6,))
-    values = r.array((R * R * R,)).reshape((R, R, R), order="F")
-    r.finish()
-    return ScalarGrid(R, bounds[:3], bounds[3:], values)

@@ -28,6 +28,9 @@ SAMPLESET_MAGIC = b"NSDS"
 SAMPLESET_VERSION = 1
 # what bytes that are not UTF-8 decode to under "surrogateescape"
 _UNDECODED = re.compile("[\udc80-\udcff]")
+# the line ends of bytes.splitlines; str.splitlines also ends lines at
+# \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+_LINE_END = re.compile("\r\n|\r|\n")
 # every byte that a save_mesh file can hold
 _SAVED_OBJ_BYTES = b"0123456789+-.eEvf \n"
 _INT64 = range(-2 ** 63, 2 ** 63)
@@ -137,19 +140,30 @@ def load_mesh(path) -> TriangleMesh:
         return parse(fh.read()).validate()
 
 
-def _text_lines(data: bytes, comment: tuple) -> list:
-    """The lines of a text mesh file, decoded as UTF-8.  A comment line, one
-    that starts with a `comment` prefix once stripped, may hold any bytes:
-    the parsers never read it.  Bytes that are not UTF-8 on any other line
-    raise MeshParseError with that line's number."""
-    try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:  # such bytes decode to lone surrogates here
-        lines = data.decode("utf-8", "surrogateescape").splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        if _UNDECODED.search(line) and not line.strip().startswith(comment):
-            raise MeshParseError("bytes that are not UTF-8 text", lineno)
+def _text_lines(text, uncommented, error) -> list:
+    """The lines of a text file's bytes, or of its text: a line ends at
+    `\\n`, `\\r\\n` or `\\r` and nowhere else.  Bytes are decoded as UTF-8,
+    and raise error(line number) at the first line whose uncommented(line),
+    the part its parser reads, holds bytes that are not UTF-8; a comment may
+    hold any bytes."""
+    if isinstance(text, bytes):  # bytes that are not UTF-8 become lone surrogates
+        text = text.decode("utf-8", "surrogateescape")
+    lines = _LINE_END.split(text)
+    if not lines[-1]:  # the end of the last line, or an empty text
+        lines.pop()
+    if _UNDECODED.search(text):
+        for lineno, line in enumerate(lines, start=1):
+            if _UNDECODED.search(uncommented(line)):
+                raise error(lineno)
     return lines
+
+
+def _mesh_lines(data: bytes, comment: tuple) -> list:
+    """The lines of a text mesh file, whose comment lines start with a
+    `comment` prefix once stripped; MeshParseError for bytes that are not
+    UTF-8 on any other line."""
+    return _text_lines(data, lambda line: "" if line.strip().startswith(comment) else line,
+                       lambda lineno: MeshParseError("bytes that are not UTF-8 text", lineno))
 
 
 def _parse_obj(data: bytes) -> TriangleMesh:
@@ -167,9 +181,10 @@ def _parse_saved_obj(data: bytes):
 
     np.loadtxt reads a number as float() and int() do, apart from the `_`
     separators they also take, which it rejects; so what it accepts has the
-    line parser's bits.  Only the bytes save_mesh writes are let in, which
-    keeps out the ones that end a line for str.splitlines but not for
-    np.loadtxt (\\x0b, \\x0c, \\x1c-\\x1e)."""
+    line parser's bits.  Only the bytes save_mesh writes are let in, so the
+    counts of `\\n` and spaces below fix every line's layout: no other
+    whitespace (a tab, `\\r`, `\\x0c`, ...), which the line parser splits
+    lines or tokens at, reaches np.loadtxt."""
     if data.translate(None, _SAVED_OBJ_BYTES):
         return None
     cut = data.find(b"\nf ") + 1  # 0, and an empty vertex block, if there is none
@@ -197,7 +212,7 @@ def _saved_block(block: bytes, tag: bytes, dtype):
 def _parse_obj_lines(data: bytes) -> TriangleMesh:
     vertices = []
     faces = []
-    for lineno, raw in enumerate(_text_lines(data, ("#",)), start=1):
+    for lineno, raw in enumerate(_mesh_lines(data, ("#",)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -235,7 +250,7 @@ def _parse_obj_lines(data: bytes) -> TriangleMesh:
 
 
 def _parse_ply(data: bytes) -> TriangleMesh:
-    lines = _text_lines(data, ("comment", "obj_info"))
+    lines = _mesh_lines(data, ("comment", "obj_info"))
     if not lines or lines[0].strip() != "ply":
         raise MeshParseError("missing 'ply' header", 1)
     spans, rows = {}, 0  # element name -> (first body row, row count)

@@ -19,7 +19,7 @@ from sdfshapes.cli import main as cli_main
 from sdfshapes.cohort import (chamfer_distance, combine_codes,
                               CombinationWeights, generate_cohort,
                               pairwise_report, reconstruction_report)
-from sdfshapes.field import (Architecture, FieldParams, forward,
+from sdfshapes.field import (Architecture, forward,
                              loss_gradients, shape_loss, spatial_gradient)
 from sdfshapes import isosurface
 from sdfshapes.isosurface import ScalarGrid, eval_grid, marching_cubes
@@ -27,7 +27,8 @@ from sdfshapes.isosurface import reconstruct_shape
 from sdfshapes.primitives import multi_sphere_samples, sphere_samples
 from sdfshapes.training import TrainConfig, train
 
-from conftest import CUBE_OBJ, assert_band_equals_dense, random_params, tiny_arch
+from conftest import (CUBE_OBJ, assert_band_equals_dense, flatten, from_flat, random_params,
+                      tiny_arch)
 
 EIGHT_RADII = [0.30 + 0.05 * k for k in range(8)]
 
@@ -104,10 +105,10 @@ def test_criterion_1_gradient_correctness(capfd):
             wg, bg, zg, _ = loss_gradients(p, z, pts, nrm, off, 0.5, 1e-4)
             ana = np.concatenate(
                 [a.ravel() for pair in zip(wg, bg) for a in pair])
-            flat = p.flatten()
+            flat = flatten(p)
 
             def loss_at(fl):
-                return shape_loss(FieldParams.from_flat(arch, fl), z, pts,
+                return shape_loss(from_flat(arch, fl), z, pts,
                                   nrm, off, 0.5, 1e-4).total
 
             coords = rng.choice(flat.size, size=10, replace=False)

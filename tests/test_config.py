@@ -8,6 +8,8 @@ from sdfshapes.errors import BadValue, SdfShapesError, UnknownKey
 from sdfshapes.field import Architecture
 from sdfshapes.training import TrainConfig
 
+from conftest import STR_LINE_ENDS
+
 
 def test_empty_text_gives_defaults():
     s = parse_config("")
@@ -56,6 +58,16 @@ def test_comment_may_hold_any_bytes():
 def test_non_utf8_bytes_before_a_comment_name_the_line(line):
     with pytest.raises(BadValue, match="^line 2: bytes that are not UTF-8 text$"):
         parse_config(b"epochs = 3\n" + line + b"\n")
+
+
+def test_only_newline_and_carriage_return_end_a_line():
+    # \x0c ended line 1 for str.splitlines; now it is part of epochs' value
+    with pytest.raises(BadValue, match=r"^line 1: bad value '3\\x0cseed = 5' for key 'epochs'$"):
+        parse_config("epochs = 3\x0cseed = 5\n")
+    for text in ("epochs = 3\rseed = 5\r\n# note\ntau = 0.25",
+                 b"epochs = 3\rseed = 5\r\ntau = 0.25\r"):
+        s = parse_config(text)
+        assert (s.train.epochs, s.train.seed, s.train.tau) == (3, 5, 0.25)
 
 
 def test_missing_equals_rejected():
@@ -121,3 +133,24 @@ def test_non_finite_float_setting_named(key, value):
     attr = _KEYS[key][1]
     with pytest.raises(SdfShapesError, match=f"^{attr} must be finite"):
         parse_config(f"{key} = {value}\n")
+
+
+# what a value may be: text, float spellings, huge ints and bytes that are not UTF-8
+_values = st.one_of(
+    st.text(max_size=12).map(str.encode),
+    st.floats().map(repr).map(str.encode),
+    st.sampled_from(["nan", "-inf", "inf", "1e300", "-1e300", "1e-320", "0", "-1"]).map(str.encode),
+    st.integers(-2 ** 80, 2 ** 80).map(str).map(str.encode),
+    st.binary(max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_KEYS)), _values, st.sampled_from(STR_LINE_ENDS)),
+                max_size=6),
+       st.booleans())
+def test_parse_config_raises_only_package_errors_on_drawn_settings(lines, as_text):
+    data = b"".join(key.encode() + b" = " + value + end for key, value, end in lines)
+    try:
+        parse_config(data.decode("utf-8", "surrogateescape") if as_text else data)
+    except SdfShapesError:
+        pass

@@ -1,20 +1,22 @@
-"""The one container codec, exercised through all three formats: a reader
+"""The one container codec, exercised through both formats: a reader
 raises a named error for every input its writer cannot produce."""
 
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdfshapes.checkpoint_io import (CHECKPOINT_MAGIC, checkpoint_bytes,
                                      load_checkpoint)
-from sdfshapes.errors import (BadMagic, ShapeInconsistency, TruncatedFile,
-                              UnsupportedVersion)
+from sdfshapes.errors import (BadMagic, SdfShapesError, ShapeInconsistency,
+                              TruncatedFile, UnsupportedVersion)
 from sdfshapes.field import Architecture, init_params
-from sdfshapes.isosurface import GRID_MAGIC, ScalarGrid, load_grid, save_grid
 from sdfshapes.mesh import (SAMPLESET_MAGIC, SurfaceSampleSet, load_sample_set,
                             save_sample_set)
 from sdfshapes.training import Checkpoint, OptimizerState, TrainConfig
+
+from conftest import mutated, mutations
 
 
 def _write(save, obj, tmp_path):
@@ -56,13 +58,6 @@ def _nsds(tmp_path):
     return [_write(save_sample_set, ss, tmp_path)], load_sample_set, crafted
 
 
-def _nsdg(tmp_path):
-    grid = ScalarGrid(2, -np.ones(3), np.ones(3), np.arange(8.0).reshape(2, 2, 2))
-    crafted = [(GRID_MAGIC + struct.pack("<II", 1, 2**32 - 1) + bytes(48), TruncatedFile),
-               (GRID_MAGIC + struct.pack("<II", 3, 2), UnsupportedVersion)]
-    return [_write(save_grid, grid, tmp_path)], load_grid, crafted
-
-
 def _nsdf(tmp_path):
     plain, adam = checkpoint_bytes(_checkpoint(False)), checkpoint_bytes(_checkpoint(True))
     # the optimizer flag is plain's last byte; squared_code_reg ends the config
@@ -75,10 +70,30 @@ def _nsdf(tmp_path):
         (_nsdf_header(2, 2**32 - 1, 2**32 - 2), TruncatedFile),
     ] + [(_with_byte(data, offset, value), ShapeInconsistency)
          for data in (plain, adam) for offset in (has_opt, squared) for value in (2, 7)]
-    return [plain, adam], load_checkpoint, crafted
+    return [plain, adam], load_checkpoint, crafted + _bad_adam_states()
 
 
-@pytest.mark.parametrize("make", [_nsds, _nsdg, _nsdf], ids=["NSDS", "NSDG", "NSDF"])
+def _bad_adam_states():
+    """Checkpoints with an Adam state the trainer cannot write, each with
+    ShapeInconsistency and the pattern of its message, which names the
+    tensor."""
+    cases = [_checkpoint(True) for _ in range(5)]
+    cases[0].optimizer.v_weights[1][0, 1] = -1.0
+    cases[1].optimizer.m_codes[1, 0] = np.nan
+    cases[2].optimizer.v_biases[0][0] = np.inf
+    # 2^63 would wrap to -2^63 in the int64 the trainer counts in
+    cases[3].optimizer.step_codes = np.array([0, 2 ** 63], dtype=np.uint64)
+    cases[4].optimizer.step_params = 2 ** 64 - 1
+    messages = [r"v_weights\[1\] holds a negative second moment",
+                "m_codes holds a non-finite moment",
+                r"v_biases\[0\] holds a non-finite moment",
+                r"step_codes holds a step count of 2\^63 or more",
+                r"step_params holds a step count of 2\^63 or more"]
+    return [(checkpoint_bytes(ck), ShapeInconsistency, f"^checkpoint {m}$")
+            for ck, m in zip(cases, messages)]
+
+
+@pytest.mark.parametrize("make", [_nsds, _nsdf], ids=["NSDS", "NSDF"])
 def test_reader_rejects_what_its_writer_cannot_produce(tmp_path, make):
     valid, load, crafted = make(tmp_path)
     p = tmp_path / "probe"
@@ -92,7 +107,24 @@ def test_reader_rejects_what_its_writer_cannot_produce(tmp_path, make):
         p.write_bytes(data + b"\x00")
         with pytest.raises(ShapeInconsistency):
             load(p)
-    for data, error in crafted:
+    for data, error, *match in crafted:  # match: the message's pattern, if given
         p.write_bytes(data)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match[0] if match else None):
             load(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["NSDS", "NSDF", "NSDF with Adam state"]), mutations)
+def test_binary_readers_raise_only_package_errors_on_mutated_files(
+        tmp_path_factory, base, edits):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    if base == "NSDS":
+        (data,), load, _ = _nsds(tmp)
+    else:
+        data, load = checkpoint_bytes(_checkpoint(base != "NSDF")), load_checkpoint
+    path = tmp / "mutated"
+    path.write_bytes(mutated(data, edits))
+    try:
+        load(path)
+    except SdfShapesError:
+        pass

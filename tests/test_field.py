@@ -13,7 +13,7 @@ from sdfshapes.errors import DimensionMismatch
 from sdfshapes.field import (Architecture, FieldParams, _trace, forward, init_params,
                              loss_gradients, shape_loss, softplus, spatial_gradient)
 
-from conftest import linear_field, random_params, tiny_arch
+from conftest import flatten, from_flat, linear_field, random_params, tiny_arch
 
 
 def _random_batch(rng, n):
@@ -40,7 +40,9 @@ def test_parameter_count_sums_layer_dims(layers, width, latent, skip):
     arch = Architecture(layer_count=layers, hidden_width=width, latent_dim=latent,
                         skip_layer=min(skip, max(1, layers - 1)))
     want = sum((din + 1) * dout for din, dout in arch.layer_dims())
-    assert arch.parameter_count() == want == len(init_params(arch, 0).flatten())
+    params = init_params(arch, 0)
+    count = sum(W.size + b.size for W, b in zip(params.weights, params.biases))
+    assert arch.parameter_count() == want == count
 
 
 def test_architecture_validation():
@@ -62,7 +64,7 @@ def test_architecture_validation():
 def test_params_flatten_roundtrip():
     arch = tiny_arch()
     p = random_params(arch, 0)
-    q = FieldParams.from_flat(arch, p.flatten())
+    q = from_flat(arch, flatten(p))
     for W, W2 in zip(p.weights, q.weights):
         assert np.array_equal(W, W2)
     for b, b2 in zip(p.biases, q.biases):
@@ -283,10 +285,10 @@ def _fd_loss_grads(params, z, pts, nrm, off, tau, lam, coords, h=1e-5):
     """Central differences of shape_loss over selected flat-parameter coords
     and all latent coordinates."""
     arch = params.arch
-    flat = params.flatten()
+    flat = flatten(params)
 
     def at(fl):
-        return shape_loss(FieldParams.from_flat(arch, fl), z, pts, nrm, off,
+        return shape_loss(from_flat(arch, fl), z, pts, nrm, off,
                           tau, lam).total
 
     fd_p = {}

@@ -6,17 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from sdfshapes import blas, isosurface
 from sdfshapes.cohort import generate_cohort
-from sdfshapes.errors import (BadMagic, DimensionMismatch, EmptySet, InvalidCount,
-                              InvalidResolution, NonFiniteValue,
-                              ShapeInconsistency, TruncatedFile,
-                              UnsupportedVersion)
+from sdfshapes.errors import (DimensionMismatch, EmptySet, InvalidCount,
+                              InvalidResolution, NonFiniteValue)
 from sdfshapes.field import FieldParams, forward
-from sdfshapes.isosurface import (_CHUNK, ScalarGrid, eval_grid, load_grid,
-                                  marching_cubes, reconstruct_shape, save_grid)
+from sdfshapes.isosurface import (_CHUNK, ScalarGrid, eval_grid, marching_cubes,
+                                  reconstruct_shape)
 from sdfshapes.mc_tables import TRI_TABLE
 
-from conftest import (assert_band_equals_dense, perturbed_checkpoint, random_params,
-                      tiny_arch, tiny_checkpoint)
+from conftest import (assert_band_equals_dense, assert_closed_off_the_lattice_boundary,
+                      perturbed_checkpoint, random_params, tiny_arch, tiny_checkpoint)
 
 
 def sphere_grid(R, radius=0.6, half=1.0):
@@ -291,14 +289,26 @@ def test_band_follows_the_surface_out_of_pruned_cells(monkeypatch):
         assert_band_equals_dense(ck, ck.codes[0], R)
 
 
+def test_closed_check_exempts_only_lattice_boundary_edges():
+    # a sphere of radius 1.5 is cut by all six faces of the [-1.1, 1.1]^3
+    # lattice: its open edges lie on them.  One face less opens three edges
+    mesh = marching_cubes(sphere_grid(24, 1.5, isosurface.DEFAULT_HALFWIDTH))
+    assert_closed_off_the_lattice_boundary(mesh, 24)
+    mesh.faces = mesh.faces[1:]
+    with pytest.raises(AssertionError, match="edges in"):
+        assert_closed_off_the_lattice_boundary(mesh, 24)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_band_equals_dense_on_perturbed_fields(seed):
     # R - 1 = 23, 32 and 39: three and four levels; where R - 1 is odd the
-    # last stride-2 gap is one spacing
+    # last stride-2 gap is one spacing.  The meshes must also be closed
+    # wherever the lattice does not cut them
     ck = perturbed_checkpoint(seed)
     for R in (24, 33, 40):
         for z in ck.codes:
-            assert_band_equals_dense(ck, z, R, workers=(1, 2))
+            mesh = assert_band_equals_dense(ck, z, R, workers=(1, 2))
+            assert_closed_off_the_lattice_boundary(mesh, R)
 
 
 def test_last_level_reads_only_known_certifiers(monkeypatch):
@@ -369,41 +379,3 @@ def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):
                        "its values, more than the 2097151 bytes of physical memory"):
         eval_grid(ck.params, ck.codes[0], 64)
 
-
-# ----------------------------------------------------------- grid container
-
-def test_grid_roundtrip_bitwise(tmp_path):
-    g = sphere_grid(9, 0.5)
-    p = tmp_path / "g.nsdg"
-    save_grid(g, p)
-    back = load_grid(p)
-    assert back.resolution == 9
-    assert np.array_equal(back.lower, g.lower)
-    assert np.array_equal(back.upper, g.upper)
-    assert np.array_equal(back.values, g.values)
-
-
-def test_grid_bad_magic_and_version(tmp_path):
-    p = tmp_path / "bad.nsdg"
-    p.write_bytes(b"ZZZZ" + b"\x00" * 20)
-    with pytest.raises(BadMagic):
-        load_grid(p)
-    import struct
-    p.write_bytes(b"NSDG" + struct.pack("<II", 7, 2))
-    with pytest.raises(UnsupportedVersion):
-        load_grid(p)
-
-
-def test_grid_truncated(tmp_path):
-    g = sphere_grid(5, 0.5)
-    p = tmp_path / "g.nsdg"
-    save_grid(g, p)
-    data = p.read_bytes()
-    p2 = tmp_path / "cut.nsdg"
-    for cut in (data[:-16], b"NSDG"):
-        p2.write_bytes(cut)
-        with pytest.raises(TruncatedFile):
-            load_grid(p2)
-    p2.write_bytes(data + b"\x00" * 8)
-    with pytest.raises(ShapeInconsistency):
-        load_grid(p2)

@@ -14,7 +14,7 @@ from sdfshapes.mesh import (SurfaceSampleSet, TriangleMesh, load_mesh,
                             sample_surface, save_mesh, save_sample_set)
 from sdfshapes.primitives import box_mesh, uv_sphere_mesh
 
-from conftest import CUBE_OBJ
+from conftest import CUBE_OBJ, STR_LINE_ENDS, mutated, mutations
 
 
 # ---------------------------------------------------------------- load_mesh
@@ -197,6 +197,37 @@ def test_face_index_beyond_int64_is_a_parse_error(tmp_path, name):
     assert info.value.line_number == line
 
 
+# bytes and characters that end a line for str.splitlines, and some that do not
+_LINE_PIECES = STR_LINE_ENDS + [b"\x85", b"\xe9", b"v", b" ", b"0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=30).map(b"".join))
+def test_lines_end_where_bytes_splitlines_ends_them(data):
+    want = [line.decode("utf-8", "surrogateescape") for line in data.splitlines()]
+    for text in (data, data.decode("utf-8", "surrogateescape")):
+        assert mesh_mod._text_lines(text, lambda line: "", None) == want
+
+
+def test_only_newline_and_carriage_return_end_a_mesh_line(tmp_path):
+    # the first line holds three vertex records, of which the parser reads one
+    data = b"v 0 0 0\x0cv 1 0 0\x1cv 0 1 0\nf 1 2 3\n"
+    assert mesh_mod._parse_obj_lines(data).vertices.tolist() == [[0.0, 0.0, 0.0]]
+    (tmp_path / "m.obj").write_bytes(data)
+    with pytest.raises(IndexOutOfRange):
+        load_mesh(tmp_path / "m.obj")
+    # one line, and its tokens after the third coordinate are never read
+    m = mesh_mod._parse_obj_lines(b"v 0 0 0\x0bv oops 0 0\n")
+    assert m.vertices.tolist() == [[0.0, 0.0, 0.0]]
+    ends = _outcome(_line_parser(b"v 0 0 0\rv 1 0 0\r\nv 0 1 0\rf 1 2 3"))
+    assert ends == _outcome(_line_parser(b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"))
+    # two vertex rows on one line leave the PLY body a row short
+    (tmp_path / "m.ply").write_bytes(
+        _PLY_TRIANGLE.replace(b"\n0 0 0\n1 0 0\n", b"\n0 0 0\x0c1 0 0\n"))
+    with pytest.raises(MeshParseError, match="file ends before all elements are read"):
+        load_mesh(tmp_path / "m.ply")
+
+
 def _outcome(read):
     """What read() makes of a mesh file: the validated arrays, or the
     SdfShapesError's type and line number."""
@@ -254,7 +285,7 @@ def _edit_obj(lines: list, edit) -> None:
         tokens.append(token.encode())
     elif kind == "tag":  # another record type, or a v line among the faces
         tokens[0] = (b"v", b"f", b"vv", b"e", b"fv")[column + at % 3]
-    elif kind == "control":  # bytes that end a line for str.splitlines only
+    elif kind == "control":  # whitespace inside a line, and \r, which ends one
         tokens[1 + column] += (b"\x0b", b"\x0c", b"\x1c", b"\r")[at % 4]
     elif kind == "tab":
         tokens[:2] = [tokens[0] + b"\t" + tokens[1]]
@@ -307,28 +338,17 @@ _FUZZ_BASES = {
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(_FUZZ_BASES) + ["saved"]),
-       st.lists(st.tuples(st.sampled_from(["flip", "cut", "insert"]),
-                          st.integers(0, 10 ** 6), st.binary(min_size=1, max_size=4)),
-                min_size=1, max_size=4))
+@given(st.sampled_from(sorted(_FUZZ_BASES) + ["saved"]), mutations)
 def test_mesh_readers_raise_only_package_errors_on_mutated_files(
-        tmp_path_factory, base, mutations):
+        tmp_path_factory, base, edits):
     tmp = tmp_path_factory.mktemp("fuzz")
     if base == "saved":
         save_mesh(uv_sphere_mesh(0.5, 4, 6), tmp / "saved.obj")
-        data = bytearray((tmp / "saved.obj").read_bytes())
+        data = (tmp / "saved.obj").read_bytes()
     else:
-        data = bytearray(_FUZZ_BASES[base])
-    for kind, at, chunk in mutations:
-        k = at % (len(data) + 1)
-        if kind == "flip" and data:
-            data[at % len(data)] ^= chunk[0] or 0x80
-        elif kind == "cut":
-            del data[k:]
-        elif kind == "insert":
-            data[k:k] = chunk
+        data = _FUZZ_BASES[base]
     path = tmp / ("m.ply" if base == "ply" else "m.obj")
-    path.write_bytes(bytes(data))
+    path.write_bytes(mutated(data, edits))
     try:
         load_mesh(path)
     except SdfShapesError:
