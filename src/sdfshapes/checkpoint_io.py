@@ -6,9 +6,11 @@ each layer's f64 weight and bias, the codebook, the config record laid out
 by training.CONFIG_RECORD, u32 epochs_completed, u64 seed and a 0/1 byte
 that says whether the Adam state follows: u64 step_params, a u64 step
 count per code, each layer's (m_W, v_W, m_b, v_b) and the code moments.
-The reader also rejects flag bytes other than 0 or 1, a layer count that
-the bytes left cannot hold, before it sizes any tensor, and an Adam state
-the trainer cannot write.
+The two slots repeat the config record's epochs and seed.  Both ends run
+Checkpoint.validate, so save_checkpoint refuses every state the reader
+rejects.  The reader also rejects flag bytes other than 0 or 1, a layer
+count that the bytes left cannot hold, before it sizes any tensor, a step
+count of 2^63 or more and slots that disagree with the config record.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
     ck.validate()
     buf = io.BytesIO()
     w = Writer(buf, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    a = ck.arch
+    a = ck.params.arch
     w.pack("<IIIId", a.layer_count, a.hidden_width, a.latent_dim,
            a.skip_layer, a.softplus_beta)
     w.pack("<I", len(ck.codes))
@@ -44,7 +46,7 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
         w.array(b)
     w.array(ck.codes)
     w.pack(_CONFIG_FMT, *(getattr(ck.config, name) for name, _ in CONFIG_RECORD))
-    w.pack("<IQ", ck.epochs_completed, ck.seed)
+    w.pack("<IQ", ck.config.epochs, ck.config.seed)
     opt = ck.optimizer
     w.pack("<B", opt is not None)
     if opt is not None:
@@ -70,9 +72,8 @@ def _flag(value: int, name: str) -> bool:
 
 
 def _adam_state(r: Reader, dims: list, n: int, latent_dim: int) -> OptimizerState:
-    """The Adam state after the optimizer flag.  ShapeInconsistency, naming
-    the tensor, for a state the trainer cannot write: a step count of 2^63
-    or more, a non-finite moment or a negative second moment."""
+    """The Adam state after the optimizer flag; ShapeInconsistency for a
+    step count of 2^63 or more, which int64 cannot hold."""
     (step_params,) = r.unpack("<Q")
     step_codes = r.array((n,), "<u8")
     for name, steps in (("step_params", step_params), ("step_codes", step_codes)):
@@ -82,17 +83,8 @@ def _adam_state(r: Reader, dims: list, n: int, latent_dim: int) -> OptimizerStat
     for din, dout in dims:
         for name, shape in zip(moments, ((dout, din), (dout, din), (dout,), (dout,))):
             moments[name].append(r.array(shape))
-    m_codes = r.array((n, latent_dim))
-    v_codes = r.array((n, latent_dim))
-    tensors = [(f"{name}[{k}]", a) for name, arrays in moments.items()
-               for k, a in enumerate(arrays)] + [("m_codes", m_codes), ("v_codes", v_codes)]
-    for name, a in tensors:
-        if not np.isfinite(a).all():
-            raise ShapeInconsistency(f"checkpoint {name} holds a non-finite moment")
-        if name.startswith("v") and (a < 0).any():
-            raise ShapeInconsistency(f"checkpoint {name} holds a negative second moment")
-    return OptimizerState(*moments.values(), m_codes, v_codes, step_params,
-                          step_codes.astype(np.int64))
+    return OptimizerState(*moments.values(), r.array((n, latent_dim)), r.array((n, latent_dim)),
+                          step_params, step_codes.astype(np.int64))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -111,13 +103,11 @@ def load_checkpoint(path) -> Checkpoint:
     fields = zip(CONFIG_RECORD, r.unpack(_CONFIG_FMT))
     config = TrainConfig(**{name: _flag(v, name) if code == "B" else v
                             for (name, code), v in fields})
-    epochs_completed, seed = r.unpack("<IQ")
-    opt = None
-    if _flag(*r.unpack("<B"), "optimizer"):
-        opt = _adam_state(r, dims, n, arch.latent_dim)
+    for name, value in zip(("epochs", "seed"), r.unpack("<IQ")):
+        if value != getattr(config, name):
+            raise ShapeInconsistency(f"checkpoint {name} slot holds {value}, but its "
+                                     f"config record sets {name} = {getattr(config, name)}")
+    has_opt = _flag(*r.unpack("<B"), "optimizer")
+    opt = _adam_state(r, dims, n, arch.latent_dim) if has_opt else None
     r.finish()
-    if config.latent_dim != arch.latent_dim:
-        raise ShapeInconsistency("config latent_dim disagrees with architecture")
-    ck = Checkpoint(arch=arch, params=params, codes=codes, config=config,
-                    epochs_completed=epochs_completed, seed=seed, optimizer=opt)
-    return ck.validate()
+    return Checkpoint(params, codes, config, opt).validate()

@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from . import cohort as cohort_mod
 from .checkpoint_io import load_checkpoint, save_checkpoint
-from .config import RunSettings, parse_config
+from .config import parse_config
 from .container import write_atomic
 from .errors import BadValue, InvalidCount, SdfShapesError, ZeroArea
 from .mesh import (SurfaceSampleSet, load_mesh, load_sample_set,
@@ -28,13 +29,6 @@ from .training import train
 
 MESH_EXTENSIONS = (".obj", ".ply")
 DEFAULT_RESOLUTION = 256  # lattice nodes per axis of every extracting command
-
-
-def _load_settings(config_path) -> RunSettings:
-    if config_path is None:
-        return parse_config("")
-    with open(config_path, "rb") as fh:
-        return parse_config(fh.read())
 
 
 def _mesh_files(directory) -> list:
@@ -61,11 +55,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_train(args) -> int:
     samples = load_sample_set(args.samples)
-    settings = _load_settings(args.config)
+    settings = parse_config(b"" if args.config is None else Path(args.config).read_bytes())
     initial = load_checkpoint(args.resume) if args.resume else None
-    arch = initial.arch if initial is not None else settings.arch
     metrics = args.metrics or (str(args.out) + ".metrics.csv")
-    ck = train(settings.train, samples, arch=arch, initial=initial,
+    ck = train(settings.train, samples, settings.arch, initial=initial,
                metrics=metrics, log=sys.stderr if args.verbose else None)
     save_checkpoint(ck, args.out)
     print(f"trained {ck.epochs_completed} epochs over {samples.shape_count} "

@@ -65,10 +65,10 @@ class CombinationWeights:
         for i in self.indices:
             if not 0 <= i < code_count:
                 raise IndexOutOfRange(f"index {i} outside [0, {code_count})")
-        if (self.alphas < 0).any():
-            raise NotConvex("negative combination weight")
-        if abs(self.alphas.sum() - 1.0) > 1e-9:
-            raise NotConvex(f"weights sum to {self.alphas.sum()!r}, not 1")
+        if not (self.alphas >= 0).all():  # NaN fails both checks
+            raise NotConvex(f"weights {self.alphas.tolist()} are not all non-negative")
+        if not abs(self.alphas.sum() - 1.0) <= 1e-9:
+            raise NotConvex(f"weights {self.alphas.tolist()} sum to {self.alphas.sum()!r}, not 1")
         return self
 
 

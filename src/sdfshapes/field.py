@@ -124,8 +124,6 @@ class LossBreakdown:
     eikonal_term: float
     code_reg_term: float
     total: float
-    tau: float
-    lam: float
 
 
 def softplus(t: np.ndarray, beta: float, slopes: list | None = None) -> np.ndarray:
@@ -267,8 +265,7 @@ def _breakdown(y_s, g_s, normals, g_o, z, tau, lam, squared_code_reg):
     znorm = float(np.linalg.norm(z))
     code_reg_term = znorm ** 2 if squared_code_reg else znorm
     total = surface_term + normal_term + tau * eikonal_term + lam * code_reg_term
-    return LossBreakdown(surface_term, normal_term, eikonal_term,
-                         code_reg_term, total, tau, lam)
+    return LossBreakdown(surface_term, normal_term, eikonal_term, code_reg_term, total)
 
 
 def _loss_trace(params: FieldParams, z, surface_points, surface_normals,

@@ -8,8 +8,8 @@ fine, and each node it evaluates gets eval_grid's bits.  On its last level
 it skips the nodes whose sign a stride-2 value certifies, which leaves out
 about 40% of the nodes it evaluates on trained fields.  Extraction uses the
 classic 256-case tables with shared edge vertices, so the output is an
-indexed mesh.  A corner counts as inside when its value is below the iso
-level (negative-inside convention); triangle winding makes face normals
+indexed mesh of the zero set.  A corner counts as inside when its value is
+below zero (negative-inside convention); triangle winding makes face normals
 point toward increasing field values.
 """
 
@@ -326,13 +326,13 @@ def _band_grid(params: FieldParams, z: np.ndarray, resolution: int,
             return grid
 
 
-def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
-    """Extract the iso-level set as an indexed triangle mesh."""
+def marching_cubes(grid: ScalarGrid) -> TriangleMesh:
+    """Extract the zero-level set as an indexed triangle mesh."""
     vals = grid.values
     if not np.isfinite(vals).all():
         raise NonFiniteValue("grid contains non-finite values")
     R = grid.resolution
-    cube_idx = _case_index(vals < iso)
+    cube_idx = _case_index(vals < 0)
     ci, cj, ck = np.nonzero((cube_idx != 0) & (cube_idx != 255))
     if len(ci) == 0:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
@@ -370,7 +370,7 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     p1[np.arange(len(axis)), axis] += 1
     v0 = vals[p0[:, 0], p0[:, 1], p0[:, 2]]
     v1 = vals[p1[:, 0], p1[:, 1], p1[:, 2]]
-    t = (iso - v0) / (v1 - v0)
+    t = v0 / (v0 - v1)
     sp = grid.spacing
     verts = grid.lower + p0 * sp + (t[:, None] * sp) * (p1 - p0)
 
@@ -387,10 +387,10 @@ def reconstruct_shape(checkpoint, code: np.ndarray, resolution: int,
     InvalidResolution if the extraction's peak memory would exceed
     physical memory."""
     code = np.asarray(code, dtype=np.float64).ravel()
-    if code.shape[0] != checkpoint.arch.latent_dim:
+    if code.shape[0] != checkpoint.params.arch.latent_dim:
         raise DimensionMismatch("code dimension does not match the checkpoint")
     grid = _band_grid(checkpoint.params, code, resolution, workers)
-    mesh = marching_cubes(grid, 0.0)
+    mesh = marching_cubes(grid)
     if not len(mesh.faces):
         raise EmptySet(f"the zero set misses the [-{DEFAULT_HALFWIDTH}, "
                        f"{DEFAULT_HALFWIDTH}]^3 lattice at resolution {resolution}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +26,7 @@ from .errors import (
     InvalidCount,
     NetworkTooLarge,
     NonFiniteLoss,
+    ShapeInconsistency,
     ShapeMismatch,
     TooFewPoints,
 )
@@ -106,34 +107,62 @@ class OptimizerState:
 
     @classmethod
     def fresh(cls, params: FieldParams, codes: np.ndarray) -> "OptimizerState":
-        return cls(
-            m_weights=[np.zeros_like(W) for W in params.weights],
-            v_weights=[np.zeros_like(W) for W in params.weights],
-            m_biases=[np.zeros_like(b) for b in params.biases],
-            v_biases=[np.zeros_like(b) for b in params.biases],
-            m_codes=np.zeros_like(codes),
-            v_codes=np.zeros_like(codes),
-            step_params=0,
-            step_codes=np.zeros(len(codes), dtype=np.int64),
-        )
+        w, b = params.weights, params.biases
+        return cls([np.zeros_like(W) for W in w], [np.zeros_like(W) for W in w],
+                   [np.zeros_like(x) for x in b], [np.zeros_like(x) for x in b],
+                   np.zeros_like(codes), np.zeros_like(codes), 0,
+                   np.zeros(len(codes), dtype=np.int64))
 
 
 @dataclass
 class Checkpoint:
-    arch: Architecture
+    """The trained auto-decoder, its config and, to resume from, its Adam
+    state.  The architecture is params.arch, the seed config.seed and the
+    completed epoch count config.epochs."""
+
     params: FieldParams
     codes: np.ndarray
     config: TrainConfig
-    epochs_completed: int
-    seed: int
     optimizer: OptimizerState | None = None
 
+    @property
+    def epochs_completed(self) -> int:
+        return self.config.epochs
+
     def validate(self):
-        self.params.validate()
-        if self.codes.ndim != 2 or self.codes.shape[1] != self.arch.latent_dim:
+        """The one check of a whole state, run by checkpoint_bytes and
+        load_checkpoint: tensor shapes, finite values, the config's
+        latent_dim and, naming the tensor with ShapeInconsistency, an Adam
+        state that matches the parameters and codes, with no negative second
+        moment and step counts in [0, 2^63)."""
+        arch = self.params.validate().arch
+        if self.codes.ndim != 2 or self.codes.shape[1] != arch.latent_dim:
             raise ShapeMismatch("codebook width does not match the architecture")
         if not np.isfinite(self.codes).all():
             raise ShapeMismatch("non-finite codebook entry")
+        if self.config.latent_dim != arch.latent_dim:
+            raise ShapeInconsistency("checkpoint config latent_dim disagrees with architecture")
+        opt = self.optimizer
+        if opt is None:
+            return self
+        steps = np.asarray(opt.step_codes)
+        if steps.dtype.kind not in "iu" or steps.shape != (len(self.codes),):
+            raise ShapeInconsistency("checkpoint step_codes is not one integer per code")
+        for name, counts in (("step_params", [opt.step_params]), ("step_codes", steps.tolist())):
+            if not all(0 <= c < 2 ** 63 for c in counts):
+                raise ShapeInconsistency(f"checkpoint {name} holds a step count outside [0, 2^63)")
+        for name in ("m_weights", "v_weights", "m_biases", "v_biases", "m_codes", "v_codes"):
+            per_layer = not name.endswith("codes")
+            moments = getattr(opt, name) if per_layer else [getattr(opt, name)]
+            like = getattr(self.params, name[2:]) if per_layer else [self.codes]
+            if [np.shape(m) for m in moments] != [a.shape for a in like]:
+                raise ShapeInconsistency(f"checkpoint {name} does not match its {name[2:]}")
+            for k, m in enumerate(moments):
+                label = f"{name}[{k}]" if per_layer else name
+                if not np.isfinite(m).all():
+                    raise ShapeInconsistency(f"checkpoint {label} holds a non-finite moment")
+                if name[0] == "v" and (np.asarray(m) < 0).any():
+                    raise ShapeInconsistency(f"checkpoint {label} holds a negative second moment")
         return self
 
 
@@ -208,49 +237,39 @@ def _check_network_fits(arch: Architecture) -> None:
 
 
 @one_blas_thread()
-def train(config: TrainConfig, samples: SurfaceSampleSet,
-          arch: Architecture | None = None,
-          initial: Checkpoint | None = None,
-          metrics=None,
-          log=None) -> Checkpoint:
+def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
+          initial: Checkpoint | None = None, metrics=None, log=None) -> Checkpoint:
     """Run the Adam loop over all shapes and return a checkpoint.
 
     config.epochs is the target epoch count.  Training continues from
-    initial, whose config must equal config in every other key, or else
-    from the epoch-0 checkpoint of config.seed; initial is never modified.
-    metrics may be a path, appended to, or an open text stream; it receives
-    the CSV header when empty and one row per epoch.
+    initial, whose config and architecture must equal config and arch in
+    every key but epochs, or else from the epoch-0 checkpoint of
+    config.seed; initial is never modified.  metrics may be a path,
+    appended to, or an open text stream; it receives the CSV header when
+    empty and one row per epoch.
     """
     n = samples.validate().shape_count
-    if arch is None:
-        arch = Architecture(latent_dim=config.latent_dim) if initial is None else initial.arch
     if arch.latent_dim != config.latent_dim:
         raise ConfigMismatch("config latent_dim does not match the architecture")
     if initial is None:
         _check_network_fits(arch)
         codes = np.random.default_rng([config.seed, 0]).normal(
             0.0, config.code_init_std, size=(n, config.latent_dim))
-        initial = Checkpoint(arch=arch, params=init_params(arch, config.seed),
-                             codes=codes, config=config, epochs_completed=0,
-                             seed=config.seed)
-    if initial.arch != arch:
-        raise ConfigMismatch("resume checkpoint architecture differs")
+        initial = Checkpoint(init_params(arch, config.seed), codes, replace(config, epochs=0))
+    # a checkpoint records one config and architecture for all its epochs
+    for new, old in ((config, initial.config), (arch, initial.params.arch)):
+        for name in (f.name for f in fields(new) if f.name != "epochs"):
+            if getattr(new, name) != getattr(old, name):
+                raise ConfigMismatch(f"resume config sets {name} = {getattr(new, name)!r}, but "
+                                     f"the checkpoint was trained with {getattr(old, name)!r}")
     if initial.codes.shape[0] != n:
         raise ConfigMismatch("resume checkpoint shape count differs")
     if config.epochs < initial.epochs_completed:
         raise ConfigMismatch(f"target of {config.epochs} epochs is below the "
                              f"{initial.epochs_completed} already completed")
-    for name, _ in CONFIG_RECORD:  # a checkpoint records one config for all its epochs
-        new, old = getattr(config, name), getattr(initial.config, name)
-        if name != "epochs" and new != old:
-            raise ConfigMismatch(f"resume config sets {name} = {new!r}, but the "
-                                 f"checkpoint was trained with {old!r}")
-    params = initial.params.copy()
-    codes = initial.codes.copy()
-    if initial.optimizer is None:
-        opt = OptimizerState.fresh(params, codes)
-    else:
-        opt = copy.deepcopy(initial.optimizer)
+    params, codes = initial.params.copy(), initial.codes.copy()
+    opt = (OptimizerState.fresh(params, codes) if initial.optimizer is None
+           else copy.deepcopy(initial.optimizer))
 
     sigmas = [local_sigmas(p, config.knn_k) if len(p) >= 2 else np.zeros(len(p))
               for p in samples.points]
@@ -298,6 +317,4 @@ def train(config: TrainConfig, samples: SurfaceSampleSet,
                 print(f"epoch {epoch}: mean loss {means[0]:.6f} (lr {lr:g})",
                       file=log, flush=True)
 
-    return Checkpoint(arch=arch, params=params, codes=codes, config=config,
-                      epochs_completed=config.epochs, seed=config.seed,
-                      optimizer=opt).validate()
+    return Checkpoint(params, codes, config, opt).validate()

@@ -58,17 +58,15 @@ def linear_field(w, b=0.0, latent_dim=1):
     return FieldParams(arch, [W], [np.array([float(b)])]).validate()
 
 
-def tiny_checkpoint(n_codes=5, seed=3, latent_dim=4, width=32, epochs=0):
+def tiny_checkpoint(n_codes=5, seed=3, latent_dim=4, width=32):
     """Untrained checkpoint whose geometric init is close to a radius-0.5
     sphere field, so reconstructions are nonempty without any training."""
     arch = Architecture(layer_count=3, hidden_width=width,
                         latent_dim=latent_dim, skip_layer=1)
     params = init_params(arch, seed)
     codes = np.random.default_rng(seed).normal(0.0, 1e-2, (n_codes, latent_dim))
-    cfg = TrainConfig(epochs=max(epochs, 0) or 1, latent_dim=latent_dim,
-                      surface_batch_size=32, seed=seed)
-    return Checkpoint(arch=arch, params=params, codes=codes, config=cfg,
-                      epochs_completed=0, seed=seed).validate()
+    cfg = TrainConfig(epochs=0, latent_dim=latent_dim, surface_batch_size=32, seed=seed)
+    return Checkpoint(params, codes, cfg).validate()
 
 
 def perturbed_checkpoint(seed, n_codes=3, latent_dim=4, width=32, layers=4):
@@ -82,9 +80,8 @@ def perturbed_checkpoint(seed, n_codes=3, latent_dim=4, width=32, layers=4):
     for W in params.weights:
         W += rng.normal(0.0, 0.3 / np.sqrt(W.shape[1]), W.shape)
     codes = rng.normal(0.0, 0.3, (n_codes, latent_dim))
-    cfg = TrainConfig(epochs=1, latent_dim=latent_dim, surface_batch_size=32, seed=seed)
-    return Checkpoint(arch=arch, params=params, codes=codes, config=cfg,
-                      epochs_completed=0, seed=seed).validate()
+    cfg = TrainConfig(epochs=0, latent_dim=latent_dim, surface_batch_size=32, seed=seed)
+    return Checkpoint(params, codes, cfg).validate()
 
 
 def assert_band_equals_dense(checkpoint, z, resolution, workers=(1, 3)):

@@ -1,14 +1,17 @@
 """Binary checkpoint container: byte-exact round trips and error paths."""
 
+import copy
+import functools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdfshapes.checkpoint_io import (CHECKPOINT_MAGIC, checkpoint_bytes,
                                      load_checkpoint, save_checkpoint)
-from sdfshapes.errors import (BadMagic, ShapeInconsistency, TruncatedFile,
-                              UnsupportedVersion)
+from sdfshapes.errors import (BadMagic, SdfShapesError, ShapeInconsistency,
+                              TruncatedFile, UnsupportedVersion)
 from sdfshapes.primitives import multi_sphere_samples
 from sdfshapes.training import TrainConfig, train
 
@@ -19,13 +22,12 @@ def trained_checkpoint(epochs=2):
     samples = multi_sphere_samples([0.4, 0.6], 64, 0)
     cfg = TrainConfig(epochs=epochs, latent_dim=4, surface_batch_size=16,
                       knn_k=5, seed=0)
-    return train(cfg, samples, arch=tiny_arch(latent_dim=4, width=8))
+    return train(cfg, samples, tiny_arch(latent_dim=4, width=8))
 
 
 def assert_checkpoints_equal(a, b):
-    assert a.arch == b.arch
+    assert a.params.arch == b.params.arch
     assert a.config == b.config
-    assert a.epochs_completed == b.epochs_completed and a.seed == b.seed
     for W, W2 in zip(a.params.weights, b.params.weights):
         assert np.array_equal(W, W2)
     for bb, b2 in zip(a.params.biases, b.params.biases):
@@ -94,7 +96,6 @@ def test_largest_admitted_config_roundtrip(tmp_path):
     ck.config = TrainConfig(epochs=2**32 - 1, lr_halving_period=2**32 - 1,
                             latent_dim=4, surface_batch_size=2**32 - 1,
                             knn_k=2**32 - 1, seed=2**64 - 1)
-    ck.epochs_completed, ck.seed = 2**32 - 1, 2**64 - 1
     p = tmp_path / "max.nsdf"
     save_checkpoint(ck, p)
     assert_checkpoints_equal(ck, load_checkpoint(p))
@@ -106,3 +107,57 @@ def test_trailing_bytes_rejected(tmp_path):
     p.write_bytes(data + b"\x00\x01")
     with pytest.raises(ShapeInconsistency):
         load_checkpoint(p)
+
+
+_MOMENTS = ("m_weights", "v_weights", "m_biases", "v_biases", "m_codes", "v_codes")
+
+
+def _perturb(opt, data):
+    """Change one Adam tensor's entry or length, drop one layer's moment, or
+    set a step count to any integer."""
+    name = data.draw(st.sampled_from(_MOMENTS + ("step_params", "step_codes")))
+    if name == "step_params":
+        opt.step_params = data.draw(st.integers(-2 ** 64, 2 ** 65))
+        return
+    per_layer = isinstance(getattr(opt, name), list)
+    arrays = getattr(opt, name) if per_layer else [getattr(opt, name)]
+    k = data.draw(st.integers(0, len(arrays) - 1))
+    edit = data.draw(st.sampled_from(["entry", "shorter", "longer"]
+                                     + ["drop"] * per_layer))
+    a = arrays[k]
+    if edit == "drop":
+        del arrays[k]
+    elif edit == "shorter":
+        arrays[k] = a[:-1]
+    elif edit == "longer":
+        arrays[k] = np.concatenate([a, a[-1:]])
+    elif name == "step_codes":
+        value = data.draw(st.integers(-2 ** 63, 2 ** 64 - 1))
+        arrays[k] = a.astype(np.uint64 if value >= 2 ** 63 else np.int64)
+        arrays[k][data.draw(st.integers(0, len(a) - 1))] = value
+    else:
+        arrays[k] = a.copy()
+        arrays[k].flat[data.draw(st.integers(0, a.size - 1))] = data.draw(st.floats())
+    if not per_layer:
+        setattr(opt, name, arrays[0])
+
+
+@functools.cache
+def _trained():
+    return trained_checkpoint()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_save_refuses_every_adam_state_that_load_rejects(tmp_path_factory, data):
+    # either the writer raises and leaves no file, or the reader accepts its
+    # bytes and writes them back unchanged
+    ck = copy.deepcopy(_trained())
+    _perturb(ck.optimizer, data)
+    path = tmp_path_factory.mktemp("perturbed") / "ck.nsdf"
+    try:
+        save_checkpoint(ck, path)
+    except SdfShapesError:
+        assert list(path.parent.iterdir()) == []
+        return
+    assert checkpoint_bytes(load_checkpoint(path)) == path.read_bytes()

@@ -100,16 +100,23 @@ def test_train_resume_below_completed_epochs_fails(pipeline, tmp_path, capsys):
     assert not out.exists() and not metrics.exists()
 
 
-def test_train_resume_under_another_seed_fails(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("old, new, named", [
+    ("seed = 3", "seed = 7", "seed = 7, but the checkpoint was trained with 3"),
+    ("hidden_width = 32", "hidden_width = 16",
+     "hidden_width = 16, but the checkpoint was trained with 32"),
+    ("seed = 3", "seed = 3\nsoftplus_beta = 5",
+     "softplus_beta = 5.0, but the checkpoint was trained with 100.0"),
+], ids=["seed", "hidden_width", "softplus_beta"])
+def test_train_resume_under_another_seed_fails(pipeline, tmp_path, capsys, old, new, named):
+    # the config and the architecture may differ from the checkpoint's in
+    # epochs only
     out, metrics = tmp_path / "reseeded.nsdf", tmp_path / "reseeded.csv"
     cfg = tmp_path / "reseeded.cfg"
-    cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 4")
-                   .replace("seed = 3", "seed = 7"))
+    cfg.write_text(TINY_CONFIG.replace("epochs = 2", "epochs = 4").replace(old, new))
     assert main(["train", "--samples", str(pipeline[2]), "--config", str(cfg),
                  "--out", str(out), "--resume", str(pipeline[4]),
                  "--metrics", str(metrics)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "resume config sets seed = 7" in err
+    assert capsys.readouterr().err == f"error: resume config sets {named}\n"
     assert not out.exists() and not metrics.exists()
 
 
@@ -171,13 +178,20 @@ def test_interpolate_command(pipeline):
     assert len(load_mesh(out).faces) > 0
 
 
-def test_interpolate_rejects_non_convex(pipeline, capsys):
+def test_interpolate_rejects_non_convex(pipeline, capsys, monkeypatch):
+    # non-finite weights fail the same checks, before the field is evaluated
     root, _, _, _, ck = pipeline
-    rc = main(["interpolate", "--checkpoint", str(ck), "--indices", "0,1",
-               "--alphas", "0.9,0.9", "--resolution", "16",
-               "--out", str(root / "bad.obj")])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+
+    def never(*args, **kwargs):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr("sdfshapes.isosurface.forward", never)
+    for alphas in ("0.9,0.9", "nan,nan", "1.0,nan", "inf,0"):
+        rc = main(["interpolate", "--checkpoint", str(ck), "--indices", "0,1",
+                   "--alphas", alphas, "--resolution", "16",
+                   "--out", str(root / "bad.obj")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: weights [")
 
 
 def test_interpolate_rejects_unparsable_lists(pipeline, capsys):

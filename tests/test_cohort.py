@@ -52,10 +52,9 @@ def test_combine_midpoint():
 
 def test_combine_rejects_non_convex():
     cb = _codebook()
-    with pytest.raises(NotConvex):
-        combine_codes(cb, CombinationWeights((0, 1), np.array([0.5, 0.6])))
-    with pytest.raises(NotConvex):
-        combine_codes(cb, CombinationWeights((0, 1), np.array([-0.1, 1.1])))
+    for alphas in ([0.5, 0.6], [-0.1, 1.1], [np.nan, np.nan], [1.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(NotConvex, match=r"^weights \["):
+            combine_codes(cb, CombinationWeights((0, 1), np.array(alphas)))
 
 
 def test_combine_rejects_bad_indices():

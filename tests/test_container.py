@@ -2,6 +2,7 @@
 raises a named error for every input its writer cannot produce."""
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def _checkpoint(optimizer: bool) -> Checkpoint:
     arch = Architecture(layer_count=2, hidden_width=2, latent_dim=1, skip_layer=1)
     params = init_params(arch, 0)
     codes = np.array([[0.25], [-0.5]])
-    ck = Checkpoint(arch, params, codes, TrainConfig(epochs=1, latent_dim=1), 1, 0)
+    ck = Checkpoint(params, codes, TrainConfig(epochs=1, latent_dim=1))
     if optimizer:
         ck.optimizer = OptimizerState.fresh(params, codes)
     return ck
@@ -61,8 +62,9 @@ def _nsds(tmp_path):
 def _nsdf(tmp_path):
     plain, adam = checkpoint_bytes(_checkpoint(False)), checkpoint_bytes(_checkpoint(True))
     # the optimizer flag is plain's last byte; squared_code_reg ends the config
-    # record, before u32 epochs_completed and u64 seed
-    has_opt, squared = len(plain) - 1, len(plain) - 14
+    # record, before u32 epochs_completed (config epochs 1) and u64 seed
+    # (config seed 0), at the same offsets in both files
+    has_opt, squared, epochs, seed = (len(plain) - k for k in (1, 14, 13, 9))
     crafted = [
         # more layers than the bytes left can hold: sized before layer_dims()
         (_nsdf_header(2**32 - 1, 1, 1), TruncatedFile),
@@ -70,13 +72,19 @@ def _nsdf(tmp_path):
         (_nsdf_header(2, 2**32 - 1, 2**32 - 2), TruncatedFile),
     ] + [(_with_byte(data, offset, value), ShapeInconsistency)
          for data in (plain, adam) for offset in (has_opt, squared) for value in (2, 7)]
+    crafted += [(_with_byte(data, offset, value), ShapeInconsistency,
+                 f"^checkpoint {name} slot holds {value}, but its config record "
+                 f"sets {name} = {was}$")
+                for data in (plain, adam)
+                for offset, name, was, value in ((epochs, "epochs", 1, 2), (seed, "seed", 0, 99))]
     return [plain, adam], load_checkpoint, crafted + _bad_adam_states()
 
 
 def _bad_adam_states():
     """Checkpoints with an Adam state the trainer cannot write, each with
     ShapeInconsistency and the pattern of its message, which names the
-    tensor."""
+    tensor.  save_checkpoint refuses these states, so their bytes are
+    written with Checkpoint.validate switched off."""
     cases = [_checkpoint(True) for _ in range(5)]
     cases[0].optimizer.v_weights[1][0, 1] = -1.0
     cases[1].optimizer.m_codes[1, 0] = np.nan
@@ -89,8 +97,9 @@ def _bad_adam_states():
                 r"v_biases\[0\] holds a non-finite moment",
                 r"step_codes holds a step count of 2\^63 or more",
                 r"step_params holds a step count of 2\^63 or more"]
-    return [(checkpoint_bytes(ck), ShapeInconsistency, f"^checkpoint {m}$")
-            for ck, m in zip(cases, messages)]
+    with mock.patch.object(Checkpoint, "validate", lambda ck: ck):
+        return [(checkpoint_bytes(ck), ShapeInconsistency, f"^checkpoint {m}$")
+                for ck, m in zip(cases, messages)]
 
 
 @pytest.mark.parametrize("make", [_nsds, _nsdf], ids=["NSDS", "NSDF"])

@@ -136,7 +136,7 @@ def test_mc_single_cell_one_triangle_at_midpoints():
     vals = np.ones((2, 2, 2))
     vals[0, 0, 0] = -1.0
     g = ScalarGrid(2, np.zeros(3), np.ones(3), vals)
-    m = marching_cubes(g, iso=0.0)
+    m = marching_cubes(g)
     assert len(m.faces) == 1
     expected = {(0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.5)}
     got = {tuple(v) for v in m.vertices}
@@ -169,7 +169,7 @@ def test_mc_outward_winding():
 def test_mc_vertices_interpolate_to_iso():
     iso = 0.13
     g = sphere_grid(24, 0.55)
-    m = marching_cubes(g, iso=iso)
+    m = marching_cubes(ScalarGrid(g.resolution, g.lower, g.upper, g.values - iso))
     # every vertex must sit on a grid edge where linear interpolation of the
     # two endpoint values reproduces the iso level
     sp = g.spacing
@@ -206,7 +206,7 @@ def test_mc_no_degenerate_or_unreferenced_random_grids(seed, R, frac):
     # independent random node values hit many of the 256 cases per grid
     vals = np.random.default_rng(seed).normal(size=(R, R, R))
     iso = vals.min() + frac * (vals.max() - vals.min())
-    m = marching_cubes(ScalarGrid(R, np.zeros(3), np.ones(3), vals), iso)
+    m = marching_cubes(ScalarGrid(R, np.zeros(3), np.ones(3), vals - iso))
     assert_no_degenerate_or_unreferenced(m)
     assert m.faces.flags.c_contiguous
 

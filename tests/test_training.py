@@ -334,7 +334,8 @@ def test_train_resume_arch_mismatch():
     cfg, samples, arch = _tiny_setup(2)
     ck = train(cfg, samples, arch=arch)
     other = tiny_arch(latent_dim=4, width=16, layers=3, skip=1)
-    with pytest.raises(ConfigMismatch):
+    with pytest.raises(ConfigMismatch, match="^resume config sets hidden_width = 16, "
+                       "but the checkpoint was trained with 8$"):
         train(TrainConfig(**{**cfg.__dict__, "epochs": 4}), samples,
               arch=other, initial=ck)
 
@@ -368,7 +369,7 @@ def test_train_latent_dim_mismatch():
 def test_train_empty_samples():
     from sdfshapes.mesh import SurfaceSampleSet
     with pytest.raises(EmptySurfaceSet):
-        train(TrainConfig(epochs=1, latent_dim=4), SurfaceSampleSet())
+        train(TrainConfig(epochs=1, latent_dim=4), SurfaceSampleSet(), tiny_arch())
 
 
 def test_train_aborts_on_non_finite_loss():
