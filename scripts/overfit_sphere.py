@@ -33,8 +33,7 @@ def main():
 
     data = sphere_samples(args.radius, args.samples, args.seed)
     arch = Architecture(hidden_width=args.width, latent_dim=args.latent_dim)
-    cfg = TrainConfig(epochs=args.epochs, latent_dim=args.latent_dim,
-                      surface_batch_size=args.batch, seed=args.seed)
+    cfg = TrainConfig(epochs=args.epochs, surface_batch_size=args.batch, seed=args.seed)
 
     t0 = time.time()
     ck = train(cfg, data, arch=arch, log=sys.stderr)

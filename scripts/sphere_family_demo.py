@@ -37,8 +37,7 @@ def main():
     radii = [0.30 + 0.05 * k for k in range(8)]
     data = multi_sphere_samples(radii, args.samples_per_shape, args.seed)
     arch = Architecture(hidden_width=args.width, latent_dim=args.latent_dim)
-    cfg = TrainConfig(epochs=args.epochs, latent_dim=args.latent_dim,
-                      surface_batch_size=args.batch, seed=args.seed)
+    cfg = TrainConfig(epochs=args.epochs, surface_batch_size=args.batch, seed=args.seed)
 
     t0 = time.time()
     ck = train(cfg, data, arch=arch,

@@ -1,5 +1,6 @@
-"""Thread settings: numpy's bundled OpenBLAS single-threaded, and one pool
-helper that maps independent work over threads.
+"""Thread settings: numpy's bundled OpenBLAS single-threaded, one pool
+helper that maps independent work over threads, and the machine's cores and
+physical memory, which bound how much work runs at once.
 
 The elements of a GEMM product can depend on OpenBLAS's thread count: the
 skip layer's weight-gradient product in loss_gradients changes bits with it,
@@ -59,6 +60,15 @@ def usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None
 
 
 def pool_map(fn, items, workers: int) -> list:

@@ -6,11 +6,14 @@ each layer's f64 weight and bias, the codebook, the config record laid out
 by training.CONFIG_RECORD, u32 epochs_completed, u64 seed and a 0/1 byte
 that says whether the Adam state follows: u64 step_params, a u64 step
 count per code, each layer's (m_W, v_W, m_b, v_b) and the code moments.
-The two slots repeat the config record's epochs and seed.  Both ends run
-Checkpoint.validate, so save_checkpoint refuses every state the reader
-rejects.  The reader also rejects flag bytes other than 0 or 1, a layer
-count that the bytes left cannot hold, before it sizes any tensor, a step
-count of 2^63 or more and slots that disagree with the config record.
+The writer fills the slots that repeat a fact from its one copy: the
+record's latent_dim from the architecture, the next two from the record's
+epochs and seed, step_params from epochs times the code count and each
+code's count from epochs, as train steps; the reader rejects, naming it, a
+slot that disagrees.  Both ends run Checkpoint.validate, so save_checkpoint
+refuses every state the reader rejects.  The reader also rejects flag bytes
+other than 0 or 1 and a layer count that the bytes left cannot hold, before
+it sizes any tensor.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
         w.array(W)
         w.array(b)
     w.array(ck.codes)
-    w.pack(_CONFIG_FMT, *(getattr(ck.config, name) for name, _ in CONFIG_RECORD))
+    w.pack(_CONFIG_FMT, *(a.latent_dim if name == "latent_dim" else getattr(ck.config, name)
+                          for name, _ in CONFIG_RECORD))
     w.pack("<IQ", ck.config.epochs, ck.config.seed)
     opt = ck.optimizer
     w.pack("<B", opt is not None)
     if opt is not None:
-        w.pack("<Q", opt.step_params)
-        w.array(opt.step_codes, "<u8")
+        w.pack("<Q", ck.config.epochs * len(ck.codes))
+        w.array(np.full(len(ck.codes), ck.config.epochs), "<u8")
         for moments in zip(opt.m_weights, opt.v_weights, opt.m_biases, opt.v_biases):
             for m in moments:
                 w.array(m)
@@ -71,20 +75,25 @@ def _flag(value: int, name: str) -> bool:
     return bool(value)
 
 
-def _adam_state(r: Reader, dims: list, n: int, latent_dim: int) -> OptimizerState:
-    """The Adam state after the optimizer flag; ShapeInconsistency for a
-    step count of 2^63 or more, which int64 cannot hold."""
-    (step_params,) = r.unpack("<Q")
-    step_codes = r.array((n,), "<u8")
-    for name, steps in (("step_params", step_params), ("step_codes", step_codes)):
-        if (np.asarray(steps) >= 2 ** 63).any():  # checked before the int64 cast
-            raise ShapeInconsistency(f"checkpoint {name} holds a step count of 2^63 or more")
+def _slot(name: str, value, expected, source: str) -> None:
+    """ShapeInconsistency naming the slot unless value is what source sets."""
+    if value != expected:
+        raise ShapeInconsistency(f"checkpoint {name} slot holds {value}, but {source}")
+
+
+def _adam_state(r: Reader, dims: list, n: int, latent_dim: int, epochs: int) -> OptimizerState:
+    """The Adam state after the optimizer flag; its step counts must be the
+    ones train reaches after the given epochs over n codes."""
+    source = f"its config record sets epochs = {epochs}"
+    _slot("step_params", *r.unpack("<Q"), epochs * n,
+          f"{source}, and epochs * codes = {epochs * n}")
+    for k, steps in enumerate(r.view((n,), "<u8").tolist()):
+        _slot(f"step_codes[{k}]", steps, epochs, source)
     moments = {"m_weights": [], "v_weights": [], "m_biases": [], "v_biases": []}
     for din, dout in dims:
         for name, shape in zip(moments, ((dout, din), (dout, din), (dout,), (dout,))):
             moments[name].append(r.array(shape))
-    return OptimizerState(*moments.values(), r.array((n, latent_dim)), r.array((n, latent_dim)),
-                          step_params, step_codes.astype(np.int64))
+    return OptimizerState(*moments.values(), r.array((n, latent_dim)), r.array((n, latent_dim)))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -100,14 +109,15 @@ def load_checkpoint(path) -> Checkpoint:
         biases.append(r.array((dout,)))
     params = FieldParams(arch, weights, biases)
     codes = r.array((n, arch.latent_dim))
-    fields = zip(CONFIG_RECORD, r.unpack(_CONFIG_FMT))
-    config = TrainConfig(**{name: _flag(v, name) if code == "B" else v
-                            for (name, code), v in fields})
+    record = {name: _flag(v, name) if code == "B" else v
+              for (name, code), v in zip(CONFIG_RECORD, r.unpack(_CONFIG_FMT))}
+    _slot("latent_dim", record.pop("latent_dim"), arch.latent_dim,
+          f"its header sets latent_dim = {arch.latent_dim}")
+    config = TrainConfig(**record)
     for name, value in zip(("epochs", "seed"), r.unpack("<IQ")):
-        if value != getattr(config, name):
-            raise ShapeInconsistency(f"checkpoint {name} slot holds {value}, but its "
-                                     f"config record sets {name} = {getattr(config, name)}")
+        _slot(name, value, getattr(config, name),
+              f"its config record sets {name} = {getattr(config, name)}")
     has_opt = _flag(*r.unpack("<B"), "optimizer")
-    opt = _adam_state(r, dims, n, arch.latent_dim) if has_opt else None
+    opt = _adam_state(r, dims, n, arch.latent_dim, config.epochs) if has_opt else None
     r.finish()
     return Checkpoint(params, codes, config, opt).validate()

@@ -8,12 +8,12 @@ are options of the commands that use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BadValue, UnknownKey
 from .field import Architecture
 from .mesh import _text_lines
-from .training import CONFIG_RECORD, TrainConfig
+from .training import TrainConfig
 
 
 @dataclass
@@ -33,17 +33,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(text)
 
 
-# key -> (target section, attribute, parser): the training fields are those
-# of training.CONFIG_RECORD, parsed after their record codes
-_KEYS = {
-    **{("lambda" if name == "lam" else name):
-       ("train", name, {"I": int, "Q": int, "d": float, "B": _parse_bool}[code])
-       for name, code in CONFIG_RECORD},
-    "layer_count": ("arch", "layer_count", int),
-    "hidden_width": ("arch", "hidden_width", int),
-    "skip_layer": ("arch", "skip_layer", int),
-    "softplus_beta": ("arch", "softplus_beta", float),
-}
+# key -> (target section, attribute, parser): one key per field of
+# TrainConfig and Architecture, parsed after the field's type; lam is
+# spelled lambda
+_KEYS = {("lambda" if f.name == "lam" else f.name):
+         (section, f.name, {"int": int, "float": float, "bool": _parse_bool}[f.type])
+         for section, cls in (("train", TrainConfig), ("arch", Architecture))
+         for f in fields(cls)}
 
 
 def parse_config(text: str | bytes) -> RunSettings:
@@ -70,9 +66,7 @@ def parse_config(text: str | bytes) -> RunSettings:
         except ValueError:
             raise BadValue(f"line {lineno}: bad value {value!r} for key {key!r}")
         kwargs[section][attr] = parsed
-    train = TrainConfig(**kwargs["train"])
-    arch = Architecture(latent_dim=train.latent_dim, **kwargs["arch"])
-    return RunSettings(train=train, arch=arch)
+    return RunSettings(train=TrainConfig(**kwargs["train"]), arch=Architecture(**kwargs["arch"]))
 
 
 def render_config(settings: RunSettings) -> str:

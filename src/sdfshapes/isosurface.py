@@ -15,12 +15,11 @@ point toward increasing field values.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import pool_map
+from . import blas
 from .errors import (
     DimensionMismatch,
     EmptySet,
@@ -84,20 +83,11 @@ class ScalarGrid:
         return self.lower[axis] + self.spacing[axis] * np.arange(self.resolution)
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where sysconf cannot tell."""
-    try:
-        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return size if size > 0 else None
-
-
 def concurrent_extractions(resolution: int, workers: int) -> int:
     """workers, capped so that that many reconstruct_shape calls at this
     resolution, each at its peak, fit in physical memory together; at least
     1, since one call guards its own need."""
-    phys = _physical_memory()
+    phys = blas.physical_memory()
     if phys is None or resolution < 2:
         return workers
     return max(1, min(workers, phys // (_EXTRACT_BYTES_PER_NODE * resolution ** 3)))
@@ -113,7 +103,7 @@ def _lattice(resolution: int, workers: int, bytes_per_node: int,
     if workers < 1:
         raise InvalidCount(f"workers must be >= 1, got {workers}")
     R = resolution
-    need, phys = bytes_per_node * R ** 3, _physical_memory()
+    need, phys = bytes_per_node * R ** 3, blas.physical_memory()
     if phys is not None and need > phys:
         raise InvalidResolution(f"grid resolution {R} needs {need} bytes {purpose}, "
                                 f"more than the {phys} bytes of physical memory")
@@ -149,7 +139,7 @@ def _eval_nodes(params: FieldParams, z: np.ndarray, grid: ScalarGrid, nodes,
         del n  # held across forward, it made malloc re-fault heap pages every block
         flat[at] = forward(params, z, pts)
 
-    pool_map(do_chunk, range(0, total, _CHUNK), workers)
+    blas.pool_map(do_chunk, range(0, total, _CHUNK), workers)
 
 
 def eval_grid(params: FieldParams, z: np.ndarray, resolution: int,

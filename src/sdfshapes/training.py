@@ -2,11 +2,13 @@
 
 One Adam step is taken per shape-minibatch; every shape is visited exactly
 once per epoch in a seeded shuffled order.  Network parameters and the
-visited latent code row are updated jointly.  The optimization loop is
-single-threaded, OpenBLAS included; only local_sigmas' nearest-neighbor
-query, which sets the off-surface sampling scales, runs on every usable
-core, and its per-point results do not depend on that.  Training is bitwise
-reproducible for a fixed seed on one machine and BLAS build.
+visited latent code row are updated jointly: at visit i of epoch e over n
+shapes, the parameters take Adam step e*n + i + 1 and the code step e + 1.
+The loop is single-threaded, OpenBLAS included; only local_sigmas'
+nearest-neighbor query, which sets the off-surface sampling scales, runs on
+every usable core, and its per-point results do not depend on that.
+Training is bitwise reproducible for a fixed seed on one machine and BLAS
+build.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import blas
 from .blas import one_blas_thread, usable_cores
 from .errors import (
     ConfigMismatch,
@@ -31,13 +34,13 @@ from .errors import (
     TooFewPoints,
 )
 from .field import Architecture, FieldParams, init_params, loss_gradients
-from .isosurface import _physical_memory
 from .mesh import SurfaceSampleSet
 
 METRICS_HEADER = "epoch,mean_total,mean_surface,mean_normal,mean_eikonal,mean_codereg,lr"
 
-# TrainConfig's fields in checkpoint order, each with the struct code of the
-# field that stores it: I is u32, Q is u64, d is float64, B is a 0/1 byte.
+# TrainConfig's fields and the architecture's latent_dim in checkpoint order,
+# each with the struct code of the field that stores it: I is u32, Q is u64,
+# d is float64, B is a 0/1 byte.
 CONFIG_RECORD = (("epochs", "I"), ("initial_lr", "d"), ("lr_halving_period", "I"),
                  ("tau", "d"), ("lam", "d"), ("latent_dim", "I"),
                  ("code_init_std", "d"), ("surface_batch_size", "I"),
@@ -53,7 +56,6 @@ class TrainConfig:
     lr_halving_period: int = 500
     tau: float = 0.5
     lam: float = 1e-4
-    latent_dim: int = 256
     code_init_std: float = 1e-2
     surface_batch_size: int = 16384
     offsurface_ratio: float = 1.0
@@ -66,13 +68,14 @@ class TrainConfig:
     squared_code_reg: bool = False
 
     def __post_init__(self):
+        record = [(f.name, dict(CONFIG_RECORD)[f.name]) for f in fields(self)]
         # written so that NaN fails every float check
-        for name, code in CONFIG_RECORD:
+        for name, code in record:
             if code == "d" and not np.isfinite(getattr(self, name)):
                 raise InvalidCount(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.epochs < 0:
             raise InvalidCount("epochs must be >= 0")
-        for name in ("initial_lr", "lr_halving_period", "latent_dim", "code_init_std",
+        for name in ("initial_lr", "lr_halving_period", "code_init_std",
                      "surface_batch_size", "uniform_halfwidth", "knn_k", "adam_eps"):
             if not getattr(self, name) > 0:
                 raise InvalidCount(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -83,7 +86,7 @@ class TrainConfig:
             raise InvalidCount("adam betas must lie in [0, 1)")
         if self.seed < 0:
             raise InvalidCount(f"seed must be >= 0, got {self.seed}")
-        for name, code in CONFIG_RECORD:
+        for name, code in record:
             limit = 256 ** np.dtype(code).itemsize
             if code in "IQ" and getattr(self, name) >= limit:
                 raise InvalidCount(f"{name} must be < {limit}, got {getattr(self, name)}")
@@ -94,7 +97,8 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators congruent to the parameters and codebook."""
+    """Adam moments congruent to the parameters and codebook; train counts
+    the steps from the epoch."""
 
     m_weights: list
     v_weights: list
@@ -102,16 +106,13 @@ class OptimizerState:
     v_biases: list
     m_codes: np.ndarray
     v_codes: np.ndarray
-    step_params: int = 0
-    step_codes: np.ndarray = None
 
     @classmethod
     def fresh(cls, params: FieldParams, codes: np.ndarray) -> "OptimizerState":
         w, b = params.weights, params.biases
         return cls([np.zeros_like(W) for W in w], [np.zeros_like(W) for W in w],
                    [np.zeros_like(x) for x in b], [np.zeros_like(x) for x in b],
-                   np.zeros_like(codes), np.zeros_like(codes), 0,
-                   np.zeros(len(codes), dtype=np.int64))
+                   np.zeros_like(codes), np.zeros_like(codes))
 
 
 @dataclass
@@ -131,26 +132,17 @@ class Checkpoint:
 
     def validate(self):
         """The one check of a whole state, run by checkpoint_bytes and
-        load_checkpoint: tensor shapes, finite values, the config's
-        latent_dim and, naming the tensor with ShapeInconsistency, an Adam
-        state that matches the parameters and codes, with no negative second
-        moment and step counts in [0, 2^63)."""
+        load_checkpoint: tensor shapes, finite values and, naming the tensor
+        with ShapeInconsistency, an Adam state that matches the parameters
+        and codes, with finite moments and no negative second moment."""
         arch = self.params.validate().arch
         if self.codes.ndim != 2 or self.codes.shape[1] != arch.latent_dim:
             raise ShapeMismatch("codebook width does not match the architecture")
         if not np.isfinite(self.codes).all():
             raise ShapeMismatch("non-finite codebook entry")
-        if self.config.latent_dim != arch.latent_dim:
-            raise ShapeInconsistency("checkpoint config latent_dim disagrees with architecture")
         opt = self.optimizer
         if opt is None:
             return self
-        steps = np.asarray(opt.step_codes)
-        if steps.dtype.kind not in "iu" or steps.shape != (len(self.codes),):
-            raise ShapeInconsistency("checkpoint step_codes is not one integer per code")
-        for name, counts in (("step_params", [opt.step_params]), ("step_codes", steps.tolist())):
-            if not all(0 <= c < 2 ** 63 for c in counts):
-                raise ShapeInconsistency(f"checkpoint {name} holds a step count outside [0, 2^63)")
         for name in ("m_weights", "v_weights", "m_biases", "v_biases", "m_codes", "v_codes"):
             per_layer = not name.endswith("codes")
             moments = getattr(opt, name) if per_layer else [getattr(opt, name)]
@@ -228,7 +220,7 @@ def adam_step(value, grad, m, v, step, lr,
 def _check_network_fits(arch: Architecture) -> None:
     """NetworkTooLarge unless the parameters and Adam's two moments of each,
     3 float64 per parameter, fit in physical memory."""
-    need, phys = 3 * 8 * arch.parameter_count(), _physical_memory()
+    need, phys = 3 * 8 * arch.parameter_count(), blas.physical_memory()
     if phys is not None and need > phys:
         raise NetworkTooLarge(
             f"layer_count = {arch.layer_count}, hidden_width = {arch.hidden_width}, "
@@ -244,17 +236,16 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
     config.epochs is the target epoch count.  Training continues from
     initial, whose config and architecture must equal config and arch in
     every key but epochs, or else from the epoch-0 checkpoint of
-    config.seed; initial is never modified.  metrics may be a path,
+    config.seed; initial is never modified, and past epoch 0 it must hold
+    its Adam state.  metrics may be a path,
     appended to, or an open text stream; it receives the CSV header when
     empty and one row per epoch.
     """
     n = samples.validate().shape_count
-    if arch.latent_dim != config.latent_dim:
-        raise ConfigMismatch("config latent_dim does not match the architecture")
     if initial is None:
         _check_network_fits(arch)
         codes = np.random.default_rng([config.seed, 0]).normal(
-            0.0, config.code_init_std, size=(n, config.latent_dim))
+            0.0, config.code_init_std, size=(n, arch.latent_dim))
         initial = Checkpoint(init_params(arch, config.seed), codes, replace(config, epochs=0))
     # a checkpoint records one config and architecture for all its epochs
     for new, old in ((config, initial.config), (arch, initial.params.arch)):
@@ -267,6 +258,9 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
     if config.epochs < initial.epochs_completed:
         raise ConfigMismatch(f"target of {config.epochs} epochs is below the "
                              f"{initial.epochs_completed} already completed")
+    if initial.optimizer is None and initial.epochs_completed > 0:
+        raise ConfigMismatch(f"the checkpoint has {initial.epochs_completed} completed epochs "
+                             "but no Adam state to resume them from")
     params, codes = initial.params.copy(), initial.codes.copy()
     opt = (OptimizerState.fresh(params, codes) if initial.optimizer is None
            else copy.deepcopy(initial.optimizer))
@@ -290,7 +284,7 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
             lr = learning_rate_at(epoch, config)
             order = rng.permutation(n)
             sums = np.zeros(5)
-            for k in order:
+            for i, k in enumerate(order):
                 pts = samples.points[k]
                 nrm = samples.normals[k]
                 idx = rng.integers(0, len(pts), size=min(B, len(pts)))
@@ -301,12 +295,9 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
                 if not np.isfinite(bd.total):
                     raise NonFiniteLoss(
                         f"non-finite loss at epoch {epoch}, shape {k}: {bd}")
-                opt.step_params += 1
                 for value, grad, m, v in zip(tensors, wg + bg, m_all, v_all):
-                    adam_step(value, grad, m, v, opt.step_params, lr, *hyper)
-                opt.step_codes[k] += 1
-                adam_step(codes[k], zg, opt.m_codes[k], opt.v_codes[k],
-                          int(opt.step_codes[k]), lr, *hyper)
+                    adam_step(value, grad, m, v, epoch * n + i + 1, lr, *hyper)
+                adam_step(codes[k], zg, opt.m_codes[k], opt.v_codes[k], epoch + 1, lr, *hyper)
                 sums += (bd.total, bd.surface_term, bd.normal_term,
                          bd.eikonal_term, bd.code_reg_term)
             means = [float(s) for s in sums / n]

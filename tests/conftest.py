@@ -65,7 +65,7 @@ def tiny_checkpoint(n_codes=5, seed=3, latent_dim=4, width=32):
                         latent_dim=latent_dim, skip_layer=1)
     params = init_params(arch, seed)
     codes = np.random.default_rng(seed).normal(0.0, 1e-2, (n_codes, latent_dim))
-    cfg = TrainConfig(epochs=0, latent_dim=latent_dim, surface_batch_size=32, seed=seed)
+    cfg = TrainConfig(epochs=0, surface_batch_size=32, seed=seed)
     return Checkpoint(params, codes, cfg).validate()
 
 
@@ -80,7 +80,7 @@ def perturbed_checkpoint(seed, n_codes=3, latent_dim=4, width=32, layers=4):
     for W in params.weights:
         W += rng.normal(0.0, 0.3 / np.sqrt(W.shape[1]), W.shape)
     codes = rng.normal(0.0, 0.3, (n_codes, latent_dim))
-    cfg = TrainConfig(epochs=0, latent_dim=latent_dim, surface_batch_size=32, seed=seed)
+    cfg = TrainConfig(epochs=0, surface_batch_size=32, seed=seed)
     return Checkpoint(params, codes, cfg).validate()
 
 

@@ -56,7 +56,7 @@ def sphere_model():
     samples = sphere_samples(0.75, 2000, 0)
     arch = Architecture(layer_count=8, hidden_width=64, latent_dim=8,
                         skip_layer=4, softplus_beta=100.0)
-    cfg = TrainConfig(epochs=2000, latent_dim=8, surface_batch_size=128, seed=0)
+    cfg = TrainConfig(epochs=2000, surface_batch_size=128, seed=0)
     metrics = io.StringIO()
     ck = train(cfg, samples, arch=arch, metrics=metrics)
     return ck, metrics.getvalue()
@@ -68,7 +68,7 @@ def eight_sphere_model():
     samples = multi_sphere_samples(EIGHT_RADII, 5000, 0)
     arch = Architecture(layer_count=8, hidden_width=64, latent_dim=8,
                         skip_layer=4, softplus_beta=100.0)
-    cfg = TrainConfig(epochs=2000, latent_dim=8, surface_batch_size=128, seed=0)
+    cfg = TrainConfig(epochs=2000, surface_batch_size=128, seed=0)
     ck = train(cfg, samples, arch=arch)
     return ck, samples
 

@@ -20,8 +20,7 @@ from conftest import tiny_arch, tiny_checkpoint
 
 def trained_checkpoint(epochs=2):
     samples = multi_sphere_samples([0.4, 0.6], 64, 0)
-    cfg = TrainConfig(epochs=epochs, latent_dim=4, surface_batch_size=16,
-                      knn_k=5, seed=0)
+    cfg = TrainConfig(epochs=epochs, surface_batch_size=16, knn_k=5, seed=0)
     return train(cfg, samples, tiny_arch(latent_dim=4, width=8))
 
 
@@ -54,8 +53,6 @@ def test_roundtrip_with_optimizer_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert_checkpoints_equal(ck, back)
     opt, opt2 = ck.optimizer, back.optimizer
-    assert opt2.step_params == opt.step_params
-    assert np.array_equal(opt2.step_codes, opt.step_codes)
     for m, m2 in zip(opt.m_weights, opt2.m_weights):
         assert np.array_equal(m, m2)
     assert np.array_equal(opt2.v_codes, opt.v_codes)
@@ -94,7 +91,7 @@ def test_largest_admitted_config_roundtrip(tmp_path):
     # TrainConfig's integer bounds are the widths of the checkpoint fields
     ck = tiny_checkpoint()
     ck.config = TrainConfig(epochs=2**32 - 1, lr_halving_period=2**32 - 1,
-                            latent_dim=4, surface_batch_size=2**32 - 1,
+                            surface_batch_size=2**32 - 1,
                             knn_k=2**32 - 1, seed=2**64 - 1)
     p = tmp_path / "max.nsdf"
     save_checkpoint(ck, p)
@@ -113,12 +110,8 @@ _MOMENTS = ("m_weights", "v_weights", "m_biases", "v_biases", "m_codes", "v_code
 
 
 def _perturb(opt, data):
-    """Change one Adam tensor's entry or length, drop one layer's moment, or
-    set a step count to any integer."""
-    name = data.draw(st.sampled_from(_MOMENTS + ("step_params", "step_codes")))
-    if name == "step_params":
-        opt.step_params = data.draw(st.integers(-2 ** 64, 2 ** 65))
-        return
+    """Change one Adam tensor's entry or length, or drop one layer's moment."""
+    name = data.draw(st.sampled_from(_MOMENTS))
     per_layer = isinstance(getattr(opt, name), list)
     arrays = getattr(opt, name) if per_layer else [getattr(opt, name)]
     k = data.draw(st.integers(0, len(arrays) - 1))
@@ -131,10 +124,6 @@ def _perturb(opt, data):
         arrays[k] = a[:-1]
     elif edit == "longer":
         arrays[k] = np.concatenate([a, a[-1:]])
-    elif name == "step_codes":
-        value = data.draw(st.integers(-2 ** 63, 2 ** 64 - 1))
-        arrays[k] = a.astype(np.uint64 if value >= 2 ** 63 else np.int64)
-        arrays[k][data.draw(st.integers(0, len(a) - 1))] = value
     else:
         arrays[k] = a.copy()
         arrays[k].flat[data.draw(st.integers(0, a.size - 1))] = data.draw(st.floats())

@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdfshapes import blas, cohort, training
 from sdfshapes.cli import build_parser, main
 from sdfshapes.cohort import CohortManifest, DistanceReport
-from sdfshapes.checkpoint_io import load_checkpoint
-from sdfshapes.mesh import load_mesh, load_sample_set, save_mesh, save_sample_set
+from sdfshapes.checkpoint_io import load_checkpoint, save_checkpoint
+from sdfshapes.mesh import (_SAMPLE_BYTES, load_mesh, load_sample_set, save_mesh,
+                           save_sample_set)
 from sdfshapes.primitives import multi_sphere_samples, uv_sphere_mesh
 
 from conftest import CUBE_OBJ
@@ -117,6 +119,20 @@ def test_train_resume_under_another_seed_fails(pipeline, tmp_path, capsys, old, 
                  "--out", str(out), "--resume", str(pipeline[4]),
                  "--metrics", str(metrics)]) == 1
     assert capsys.readouterr().err == f"error: resume config sets {named}\n"
+    assert not out.exists() and not metrics.exists()
+
+
+def test_train_refuses_to_resume_without_adam_state(pipeline, tmp_path, capsys):
+    # the Adam step counts follow from the epoch, so fresh moments past
+    # epoch 0 would take the wrong bias correction
+    stripped = load_checkpoint(pipeline[4])
+    stripped.optimizer = None
+    save_checkpoint(stripped, tmp_path / "no_adam.nsdf")
+    out, metrics = tmp_path / "resumed.nsdf", tmp_path / "resumed.csv"
+    assert _train_to(pipeline, tmp_path, 4, out, "--resume", str(tmp_path / "no_adam.nsdf"),
+                     "--metrics", str(metrics)) == 1
+    assert capsys.readouterr().err == ("error: the checkpoint has 2 completed epochs but "
+                                       "no Adam state to resume them from\n")
     assert not out.exists() and not metrics.exists()
 
 
@@ -460,3 +476,44 @@ def test_empty_zero_set_fails_early_and_named(pipeline, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(mesh_dir / "b.obj") in err
     assert "no positive-area triangles" in err
+
+
+def test_shape_without_samples_fails_early_and_named(pipeline, tmp_path, capsys, monkeypatch):
+    _, _, samples, _, ck = pipeline
+    empty = load_sample_set(samples)
+    empty.points[1], empty.normals[1] = np.zeros((0, 3)), np.zeros((0, 3))
+    save_sample_set(empty, tmp_path / "empty.nsds")
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step was taken or a mesh extracted")
+
+    monkeypatch.setattr(training, "loss_gradients", never)
+    monkeypatch.setattr(cohort, "reconstruct_shape", never)
+    assert _train_with(pipeline, "", samples=tmp_path / "empty.nsds") == 1
+    assert capsys.readouterr().err == "error: shape 1: no samples\n"
+    out = tmp_path / "recon.csv"
+    assert main(["evaluate", "recon", "--checkpoint", str(ck), "--samples",
+                 str(tmp_path / "empty.nsds"), "--resolution", "16",
+                 "--eval-points", "400", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: shape 1: no samples\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count, phys", [(10 ** 12, None), (400, 400 * _SAMPLE_BYTES - 1)],
+                         ids=["1e12", "one_byte_short"])
+def test_sample_counts_beyond_memory_fail_by_name(pipeline, tmp_path, capsys, monkeypatch,
+                                                  count, phys):
+    # 10^12 samples need 176 TB, which numpy would refuse without allocating;
+    # 400 need more than a physical memory patched one byte short of them
+    _, meshes, _, _, _ = pipeline
+    if phys is not None:
+        monkeypatch.setattr(blas, "physical_memory", lambda: phys)
+    out = tmp_path / "out"
+    for argv in (["sample", "--input-dir", str(meshes), "--points", str(count)],
+                 ["evaluate", "pairwise", "--mesh-dir", str(meshes), "--eval-points", str(count)]):
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sample count {count} needs {count * _SAMPLE_BYTES} "
+                              "bytes, more than the ")
+        assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
+        assert not out.exists()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from sdfshapes import cohort, isosurface
+from sdfshapes import blas, cohort, isosurface
 from sdfshapes.cohort import (CohortManifest, CombinationWeights,
                               DistanceReport, chamfer_distance, combine_codes,
                               generate_cohort, pairwise_report,
@@ -187,7 +187,7 @@ def test_generate_cohort_caps_concurrent_lattices(monkeypatch, pool_workers):
     # physical memory for exactly one lattice, just short of two, two, five
     for phys, workers in ((lattice, 1), (2 * lattice - 1, 1), (2 * lattice, 2),
                           (5 * lattice, 3)):
-        monkeypatch.setattr(isosurface, "_physical_memory", lambda: phys)
+        monkeypatch.setattr(blas, "physical_memory", lambda: phys)
         got, _ = generate_cohort(ck, 5, 2, seed=4, resolution=20)
         assert seen[-1] == workers
         _same_meshes(got, want)

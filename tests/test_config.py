@@ -1,5 +1,7 @@
 """Keyed text configuration parsing and rendering."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ def test_empty_text_gives_defaults():
     assert s.train.lr_halving_period == 500
     assert s.train.tau == 0.5
     assert s.train.lam == 1e-4
-    assert s.train.latent_dim == 256
+    assert s.arch.latent_dim == 256
     assert s.train.code_init_std == 1e-2
     assert s.arch.layer_count == 8
     assert s.arch.hidden_width == 512
@@ -75,10 +77,25 @@ def test_missing_equals_rejected():
         parse_config("epochs 10\n")
 
 
-def test_latent_dim_sets_both_sections():
+def test_latent_dim_key_sets_the_architecture():
     s = parse_config("latent_dim = 12\n")
-    assert s.train.latent_dim == 12
     assert s.arch.latent_dim == 12
+    assert s.train == TrainConfig()
+
+
+def test_keys_are_the_fields_of_train_config_and_architecture():
+    names = [f.name for cls in (TrainConfig, Architecture) for f in fields(cls)]
+    assert [attr for _, attr, _ in _KEYS.values()] == names
+    assert sorted(_KEYS) == sorted(
+        ["epochs", "initial_lr", "lr_halving_period", "tau", "lambda", "latent_dim",
+         "code_init_std", "surface_batch_size", "offsurface_ratio", "adam_beta1",
+         "adam_beta2", "adam_eps", "knn_k", "uniform_halfwidth", "seed",
+         "squared_code_reg", "layer_count", "hidden_width", "skip_layer",
+         "softplus_beta"])
+    defaults = parse_config("")
+    for section, attr, parser in _KEYS.values():  # each parsed after its field's type
+        value = getattr(getattr(defaults, section), attr)
+        assert type(parser(str(value))) is type(value) and parser(str(value)) == value
 
 
 def test_bool_key_parsing():
@@ -117,7 +134,7 @@ def test_render_parse_roundtrip_defaults():
 def test_render_parse_roundtrip_random(epochs, lr, tau, lam, d, width, layers,
                                        squared):
     train = TrainConfig(epochs=epochs, initial_lr=lr, tau=tau, lam=lam,
-                        latent_dim=d, squared_code_reg=squared)
+                        squared_code_reg=squared)
     arch = Architecture(layer_count=layers, hidden_width=width, latent_dim=d,
                         skip_layer=max(1, layers // 2))
     s = RunSettings(train=train, arch=arch)

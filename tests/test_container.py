@@ -26,11 +26,11 @@ def _write(save, obj, tmp_path):
     return p.read_bytes()
 
 
-def _checkpoint(optimizer: bool) -> Checkpoint:
+def _checkpoint(optimizer: bool, epochs: int = 1) -> Checkpoint:
     arch = Architecture(layer_count=2, hidden_width=2, latent_dim=1, skip_layer=1)
     params = init_params(arch, 0)
     codes = np.array([[0.25], [-0.5]])
-    ck = Checkpoint(params, codes, TrainConfig(epochs=1, latent_dim=1))
+    ck = Checkpoint(params, codes, TrainConfig(epochs=epochs))
     if optimizer:
         ck.optimizer = OptimizerState.fresh(params, codes)
     return ck
@@ -44,6 +44,11 @@ def _nsdf_header(layer_count, hidden_width, latent_dim):
 
 def _with_byte(data: bytes, offset: int, value: int) -> bytes:
     return data[:offset] + bytes([value]) + data[offset + 1:]
+
+
+def _with_u64s(data: bytes, offset: int, *values: int) -> bytes:
+    end = offset + 8 * len(values)
+    return data[:offset] + struct.pack(f"<{len(values)}Q", *values) + data[end:]
 
 
 def _nsds(tmp_path):
@@ -61,10 +66,13 @@ def _nsds(tmp_path):
 
 def _nsdf(tmp_path):
     plain, adam = checkpoint_bytes(_checkpoint(False)), checkpoint_bytes(_checkpoint(True))
-    # the optimizer flag is plain's last byte; squared_code_reg ends the config
-    # record, before u32 epochs_completed (config epochs 1) and u64 seed
-    # (config seed 0), at the same offsets in both files
-    has_opt, squared, epochs, seed = (len(plain) - k for k in (1, 14, 13, 9))
+    # the optimizer flag is plain's last byte; squared_code_reg ends the
+    # 101-byte config record, whose latent_dim (1) starts 32 bytes in, before
+    # u32 epochs_completed (config epochs 1) and u64 seed (config seed 0), at
+    # the same offsets in both files.  adam's u64 step_params (2) and a u64
+    # step count per code (1, 1) follow the flag
+    has_opt, squared, epochs, seed, latent = (len(plain) - k for k in (1, 14, 13, 9, 82))
+    steps = len(plain)
     crafted = [
         # more layers than the bytes left can hold: sized before layer_dims()
         (_nsdf_header(2**32 - 1, 1, 1), TruncatedFile),
@@ -77,6 +85,22 @@ def _nsdf(tmp_path):
                  f"sets {name} = {was}$")
                 for data in (plain, adam)
                 for offset, name, was, value in ((epochs, "epochs", 1, 2), (seed, "seed", 0, 99))]
+    crafted += [(_with_byte(data, latent, 2), ShapeInconsistency,
+                 "^checkpoint latent_dim slot holds 2, but its header sets latent_dim = 1$")
+                for data in (plain, adam)]
+    # step counts that train does not take in the epochs the config record
+    # sets: a 2-epoch run's counts zeroed, one code's count off, counts that
+    # int64 cannot hold
+    two_epochs = checkpoint_bytes(_checkpoint(True, epochs=2))
+    crafted += [(_with_u64s(data, steps, *values), ShapeInconsistency, f"^checkpoint {m}$")
+                for data, values, m in (
+        (two_epochs, (0, 0, 0), r"step_params slot holds 0, but its config record sets "
+                                r"epochs = 2, and epochs \* codes = 4"),
+        (adam, (2, 1, 2), r"step_codes\[1\] slot holds 2, but its config record sets epochs = 1"),
+        (adam, (2, 1, 2 ** 63), r"step_codes\[1\] slot holds 9223372036854775808, but its "
+                                "config record sets epochs = 1"),
+        (adam, (2 ** 64 - 1, 1, 1), r"step_params slot holds 18446744073709551615, but its "
+                                    r"config record sets epochs = 1, and epochs \* codes = 2"))]
     return [plain, adam], load_checkpoint, crafted + _bad_adam_states()
 
 
@@ -85,18 +109,13 @@ def _bad_adam_states():
     ShapeInconsistency and the pattern of its message, which names the
     tensor.  save_checkpoint refuses these states, so their bytes are
     written with Checkpoint.validate switched off."""
-    cases = [_checkpoint(True) for _ in range(5)]
+    cases = [_checkpoint(True) for _ in range(3)]
     cases[0].optimizer.v_weights[1][0, 1] = -1.0
     cases[1].optimizer.m_codes[1, 0] = np.nan
     cases[2].optimizer.v_biases[0][0] = np.inf
-    # 2^63 would wrap to -2^63 in the int64 the trainer counts in
-    cases[3].optimizer.step_codes = np.array([0, 2 ** 63], dtype=np.uint64)
-    cases[4].optimizer.step_params = 2 ** 64 - 1
     messages = [r"v_weights\[1\] holds a negative second moment",
                 "m_codes holds a non-finite moment",
-                r"v_biases\[0\] holds a non-finite moment",
-                r"step_codes holds a step count of 2\^63 or more",
-                r"step_params holds a step count of 2\^63 or more"]
+                r"v_biases\[0\] holds a non-finite moment"]
     with mock.patch.object(Checkpoint, "validate", lambda ck: ck):
         return [(checkpoint_bytes(ck), ShapeInconsistency, f"^checkpoint {m}$")
                 for ck, m in zip(cases, messages)]

@@ -56,6 +56,9 @@ def test_architecture_validation():
         Architecture(softplus_beta=0.0)
     with pytest.raises(DimensionMismatch):
         Architecture(latent_dim=0)
+    # the counts must fit their u32 checkpoint fields
+    with pytest.raises(DimensionMismatch, match="^latent_dim must be < 4294967296"):
+        Architecture(latent_dim=2**32)
     for width in (0, -5):
         with pytest.raises(DimensionMismatch, match="hidden_width"):
             Architecture(hidden_width=width)

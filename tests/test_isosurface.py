@@ -359,7 +359,7 @@ def test_last_level_reads_only_known_certifiers(monkeypatch):
 def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):
     ck = tiny_checkpoint()
     per_node = isosurface._EXTRACT_BYTES_PER_NODE
-    phys = isosurface._physical_memory()
+    phys = blas.physical_memory()
     if phys is not None:  # the smallest R whose extraction exceeds this machine
         R = int(round((phys / per_node) ** (1 / 3)))
         while per_node * R ** 3 <= phys:
@@ -370,11 +370,11 @@ def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):
     # a machine one byte short of extracting at R = 64; its values alone fit
     need = per_node * 64 ** 3
     assert need - 1 >= 8 * 64 ** 3
-    monkeypatch.setattr(isosurface, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(blas, "physical_memory", lambda: need - 1)
     with pytest.raises(InvalidResolution, match=f"resolution 64 needs {need} bytes to "
                        f"extract its mesh, more than the {need - 1} bytes of physical memory"):
         reconstruct_shape(ck, ck.codes[0], 64)
-    monkeypatch.setattr(isosurface, "_physical_memory", lambda: 8 * 64 ** 3 - 1)
+    monkeypatch.setattr(blas, "physical_memory", lambda: 8 * 64 ** 3 - 1)
     with pytest.raises(InvalidResolution, match="resolution 64 needs 2097152 bytes for "
                        "its values, more than the 2097151 bytes of physical memory"):
         eval_grid(ck.params, ck.codes[0], 64)

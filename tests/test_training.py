@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from sdfshapes import training
+from sdfshapes import blas, training
 from sdfshapes.checkpoint_io import checkpoint_bytes
 from sdfshapes.errors import (ConfigMismatch, EmptySurfaceSet, InvalidCount,
                               NetworkTooLarge,
@@ -34,7 +34,7 @@ def test_train_config_validation():
     # integer fields must fit their checkpoint fields (u32, and u64 for seed)
     for bad in ({"seed": -1}, {"seed": 2**64}, {"knn_k": 2**32},
                 {"epochs": 2**32}, {"lr_halving_period": 2**32},
-                {"latent_dim": 2**32}, {"surface_batch_size": 2**32}):
+                {"surface_batch_size": 2**32}):
         with pytest.raises(InvalidCount, match=next(iter(bad))):
             TrainConfig(**bad)
 
@@ -200,8 +200,7 @@ def _tiny_setup(epochs, n_shapes=2, seed=0):
     samples = multi_sphere_samples([0.4 + 0.2 * k for k in range(n_shapes)],
                                    64, seed)
     arch = tiny_arch(latent_dim=4, width=8, layers=3, skip=1)
-    cfg = TrainConfig(epochs=epochs, latent_dim=4, surface_batch_size=16,
-                      knn_k=5, seed=seed)
+    cfg = TrainConfig(epochs=epochs, surface_batch_size=16, knn_k=5, seed=seed)
     return cfg, samples, arch
 
 
@@ -219,7 +218,7 @@ def test_train_zero_epochs_returns_initial_state():
 
 def test_train_code_init_distribution():
     samples = multi_sphere_samples([0.5] * 40, 16, 0)
-    cfg = TrainConfig(epochs=0, latent_dim=8, surface_batch_size=8, knn_k=3)
+    cfg = TrainConfig(epochs=0, surface_batch_size=8, knn_k=3)
     ck = train(cfg, samples, arch=tiny_arch(latent_dim=8))
     flat = ck.codes.ravel()
     assert abs(flat.std() - 1e-2) < 2e-3
@@ -300,11 +299,28 @@ def test_train_metrics_header_only_into_an_empty_sink(tmp_path):
     assert path.read_text().splitlines()[0] == METRICS_HEADER
 
 
-def test_train_visits_every_shape_each_epoch():
+def test_train_visits_every_shape_each_epoch(monkeypatch):
+    # one step per code row each epoch: every epoch is a permutation of the
+    # shapes.  At visit i of epoch e the 6 parameter tensors take Adam step
+    # 3e + i + 1 and the code step e + 1, as Python ints
     cfg, samples, arch = _tiny_setup(4, n_shapes=3)
-    ck = train(cfg, samples, arch=arch)
-    assert (ck.optimizer.step_codes == 4).all()
-    assert ck.optimizer.step_params == 12
+    loss_gradients, adam_step, rows, steps = training.loss_gradients, training.adam_step, [], []
+
+    def counting(params, z, *args):
+        rows.append((z.ctypes.data - z.base.ctypes.data) // z.nbytes)  # z is codes[row]
+        return loss_gradients(params, z, *args)
+
+    def recording(value, grad, m, v, step, *args):
+        steps.append(step)
+        return adam_step(value, grad, m, v, step, *args)
+
+    monkeypatch.setattr(training, "loss_gradients", counting)
+    monkeypatch.setattr(training, "adam_step", recording)
+    train(cfg, samples, arch=arch)
+    assert [sorted(rows[3 * e:3 * e + 3]) for e in range(4)] == [[0, 1, 2]] * 4
+    assert len(rows) == 12
+    assert steps == [s for e in range(4) for i in range(3) for s in [3 * e + i + 1] * 6 + [e + 1]]
+    assert {type(s) for s in steps} == {int}
 
 
 def test_train_metrics_stream():
@@ -352,24 +368,18 @@ def test_train_refuses_a_network_beyond_physical_memory(monkeypatch):
     assert str(info.value).startswith("layer_count = 8, hidden_width = 100000, latent_dim = 4")
     # the bound is 3 float64 per parameter
     arch = tiny_arch(latent_dim=4, width=8, layers=3, skip=1)
-    monkeypatch.setattr(training, "_physical_memory", lambda: 24 * arch.parameter_count() - 1)
+    monkeypatch.setattr(blas, "physical_memory", lambda: 24 * arch.parameter_count() - 1)
     with pytest.raises(NetworkTooLarge):
         train(cfg, samples, arch=arch)
-    monkeypatch.setattr(training, "_physical_memory", lambda: 24 * arch.parameter_count())
+    monkeypatch.setattr(blas, "physical_memory", lambda: 24 * arch.parameter_count())
     with pytest.raises(AssertionError, match="init_params was called"):
         train(cfg, samples, arch=arch)
-
-
-def test_train_latent_dim_mismatch():
-    cfg, samples, _ = _tiny_setup(1)
-    with pytest.raises(ConfigMismatch):
-        train(cfg, samples, arch=tiny_arch(latent_dim=8))
 
 
 def test_train_empty_samples():
     from sdfshapes.mesh import SurfaceSampleSet
     with pytest.raises(EmptySurfaceSet):
-        train(TrainConfig(epochs=1, latent_dim=4), SurfaceSampleSet(), tiny_arch())
+        train(TrainConfig(epochs=1), SurfaceSampleSet(), tiny_arch())
 
 
 def test_train_aborts_on_non_finite_loss():
@@ -385,8 +395,7 @@ def test_train_aborts_on_non_finite_loss():
 def test_train_loss_decreases():
     samples = sphere_samples(0.6, 400, 0)
     arch = tiny_arch(latent_dim=4, width=16, layers=3, skip=1)
-    cfg = TrainConfig(epochs=60, latent_dim=4, surface_batch_size=64,
-                      knn_k=10, seed=0)
+    cfg = TrainConfig(epochs=60, surface_batch_size=64, knn_k=10, seed=0)
     buf = io.StringIO()
     train(cfg, samples, arch=arch, metrics=buf)
     rows = [ln.split(",") for ln in buf.getvalue().strip().splitlines()[1:]]
