@@ -1,13 +1,15 @@
-"""Thread settings: numpy's bundled OpenBLAS single-threaded, one pool
-helper that maps independent work over threads, and the machine's cores and
-physical memory, which bound how much work runs at once.
+"""How much runs at once: numpy's bundled OpenBLAS single-threaded, one
+pool helper that maps independent work over threads, and the package's only
+reads of the machine's cores and physical memory, behind check_memory and
+worker_count.
 
 The elements of a GEMM product can depend on OpenBLAS's thread count: the
 skip layer's weight-gradient product in loss_gradients changes bits with it,
 so training runs single-threaded and its seeded results do not depend on the
 machine's core count or OPENBLAS_NUM_THREADS.  The forward shapes measured
-give the same bits at every thread count; pool threads run single-threaded
-so they share the cores instead of contending with BLAS's own threads.
+give the same bits at every thread count; pooled work runs single-threaded
+at every worker count, so it shares the cores instead of contending with
+BLAS's own threads, whose start can also stall a fresh process's first GEMM.
 """
 
 from __future__ import annotations
@@ -71,16 +73,34 @@ def physical_memory():
     return size if size > 0 else None
 
 
+def check_memory(need: int, error, subject: str, purpose: str = "") -> None:
+    """Raise error("<subject> needs <need> bytes<purpose>, more than the <P>
+    bytes of physical memory") if need exceeds the P bytes there are."""
+    phys = physical_memory()
+    if phys is not None and need > phys:
+        raise error(f"{subject} needs {need} bytes{purpose}, "
+                    f"more than the {phys} bytes of physical memory")
+
+
+def worker_count(peak_bytes: int = 0) -> int:
+    """Threads for a pool whose items each peak at peak_bytes: one per usable
+    core, no more than fit in physical memory together, at least 1."""
+    cores, phys = usable_cores(), physical_memory()
+    if phys is None or peak_bytes <= 0:
+        return cores
+    return max(1, min(cores, phys // peak_bytes))
+
+
 def pool_map(fn, items, workers: int) -> list:
-    """[fn(item) for item in items], in item order.  One worker is a plain
-    serial map.  More run a pool of that many threads, each with OpenBLAS
-    single-threaded; the pool is shut down before this returns.  If items
-    fail, the lowest failing item's exception is raised, as the serial map
-    would, and items not yet started are cancelled."""
-    if workers == 1:
-        return list(map(fn, items))
-    # the outer block serves builds whose thread count is process-wide (the
-    # items' own blocks then find 1 and restore 1), the items' blocks builds
-    # whose count is per thread
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_blas_thread()(fn), items))
+    """[fn(item) for item in items], in item order, with OpenBLAS
+    single-threaded.  One worker is a plain serial map; more run a pool of
+    that many threads, shut down before this returns.  If items fail, the
+    lowest failing item's exception is raised, as the serial map would, and
+    items not yet started are cancelled."""
+    # the outer block serves the serial map and builds whose count is
+    # process-wide, the items' own blocks builds whose count is per thread
+    with one_blas_thread():
+        if workers == 1:
+            return list(map(fn, items))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one_blas_thread()(fn), items))

@@ -3,8 +3,9 @@ evaluate.
 
 Sample sets, checkpoints, the reconstruct and interpolate meshes and the
 cohort manifest are written atomically (temp file + rename).  The training
-metrics CSV is appended epoch by epoch; the cohort meshes, the evaluate
-reports and their .summary.csv files are written in place.
+metrics CSV is written epoch by epoch, anew by a fresh run and appended to
+by --resume; the cohort meshes, the evaluate reports and their .summary.csv
+files are written in place.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Novel-shape generation by convex code combination and Chamfer reports.
 
 Shapes, and pairs of shapes, are independent of each other, so each command
-maps them over a thread pool with one thread per usable core (numpy's
-ufuncs, BLAS and cKDTree's queries release the GIL); the results do not
-depend on the thread count.  generate_cohort and reconstruction_report mesh
-at most as many shapes at once as fit in physical memory.
+maps them over a pool of blas.worker_count() threads (numpy's ufuncs, BLAS
+and cKDTree's queries release the GIL); the results do not depend on the
+thread count.  Meshing passes it extraction_bytes, so at most as many
+shapes are meshed at once as fit in physical memory.
 
 Every Chamfer KD-tree holds up to 64 points per leaf, not scipy's default
 16: fewer, larger leaves make each nearest-neighbour query visit fewer
@@ -37,9 +37,9 @@ from .errors import (
     ShapeMismatch,
     TooFewMeshes,
 )
-from .blas import pool_map, usable_cores
-from .isosurface import concurrent_extractions, reconstruct_shape
-from .mesh import SurfaceSampleSet, sample_surface, save_mesh
+from .blas import pool_map, worker_count
+from .isosurface import extraction_bytes, reconstruct_shape
+from .mesh import SurfaceSampleSet, check_sample_count, sample_surface, save_mesh
 
 DEFAULT_EVAL_POINTS = 30000
 HISTOGRAM_BINS = 20
@@ -122,12 +122,6 @@ def combine_codes(codebook: np.ndarray, weights: CombinationWeights) -> np.ndarr
     return z
 
 
-def _extraction_workers(resolution: int) -> int:
-    """Threads for meshing shapes at this resolution: one per usable core,
-    no more than fit in physical memory at once."""
-    return concurrent_extractions(resolution, usable_cores())
-
-
 def _reconstruct(checkpoint, z, resolution, label):
     try:
         return reconstruct_shape(checkpoint, z, resolution)
@@ -163,7 +157,7 @@ def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
             save_mesh(mesh, path)
         return mesh, path
 
-    made = pool_map(make, range(count), _extraction_workers(resolution))
+    made = pool_map(make, range(count), worker_count(extraction_bytes(resolution)))
     manifest = CohortManifest([CohortEntry(i, w, path, seed)
                                for i, (w, (_, path)) in enumerate(zip(weights, made))])
     return [mesh for mesh, _ in made], manifest
@@ -251,10 +245,12 @@ def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
                           resolution: int, eval_points: int = DEFAULT_EVAL_POINTS,
                           seed: int = 0) -> DistanceReport:
     """Chamfer distance between each training shape's samples and its
-    reconstruction from the learned code."""
+    reconstruction from the learned code.  eval_points is checked before
+    any shape is meshed."""
     n = len(checkpoint.codes)
     if samples.shape_count != n:
         raise ShapeMismatch(f"{samples.shape_count} sample shapes vs {n} codes")
+    check_sample_count(eval_points)
 
     def distance(k):
         mesh = _reconstruct(checkpoint, checkpoint.codes[k], resolution, f"shape {k}")
@@ -265,7 +261,7 @@ def reconstruction_report(checkpoint, samples: SurfaceSampleSet,
             gt = gt[rng.choice(len(gt), size=eval_points, replace=False)]
         return chamfer_distance(gt, rec)
 
-    values = pool_map(distance, range(n), _extraction_workers(resolution))
+    values = pool_map(distance, range(n), worker_count(extraction_bytes(resolution)))
     return DistanceReport([str(k) for k in range(n)], np.array(values))
 
 
@@ -284,5 +280,5 @@ def pairwise_report(meshes, eval_points: int = DEFAULT_EVAL_POINTS,
         i, j = ij
         return _chamfer(clouds[i], trees[i], clouds[j], trees[j])
 
-    values = pool_map(pair, pairs, usable_cores())
+    values = pool_map(pair, pairs, worker_count())
     return DistanceReport([f"{i}-{j}" for i, j in pairs], np.array(values))

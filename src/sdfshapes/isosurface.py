@@ -10,7 +10,9 @@ about 40% of the nodes it evaluates on trained fields.  Extraction uses the
 classic 256-case tables with shared edge vertices, so the output is an
 indexed mesh of the zero set.  A corner counts as inside when its value is
 below zero (negative-inside convention); triangle winding makes face normals
-point toward increasing field values.
+point toward increasing field values.  blas checks each lattice against
+physical memory; extraction_bytes is one extraction's peak, for blas's
+worker count where many shapes are meshed at once.
 """
 
 from __future__ import annotations
@@ -83,14 +85,9 @@ class ScalarGrid:
         return self.lower[axis] + self.spacing[axis] * np.arange(self.resolution)
 
 
-def concurrent_extractions(resolution: int, workers: int) -> int:
-    """workers, capped so that that many reconstruct_shape calls at this
-    resolution, each at its peak, fit in physical memory together; at least
-    1, since one call guards its own need."""
-    phys = blas.physical_memory()
-    if phys is None or resolution < 2:
-        return workers
-    return max(1, min(workers, phys // (_EXTRACT_BYTES_PER_NODE * resolution ** 3)))
+def extraction_bytes(resolution: int) -> int:
+    """reconstruct_shape's peak need in bytes at this resolution."""
+    return _EXTRACT_BYTES_PER_NODE * resolution ** 3
 
 
 def _lattice(resolution: int, workers: int, bytes_per_node: int,
@@ -103,10 +100,8 @@ def _lattice(resolution: int, workers: int, bytes_per_node: int,
     if workers < 1:
         raise InvalidCount(f"workers must be >= 1, got {workers}")
     R = resolution
-    need, phys = bytes_per_node * R ** 3, blas.physical_memory()
-    if phys is not None and need > phys:
-        raise InvalidResolution(f"grid resolution {R} needs {need} bytes {purpose}, "
-                                f"more than the {phys} bytes of physical memory")
+    blas.check_memory(bytes_per_node * R ** 3, InvalidResolution, f"grid resolution {R}",
+                      f" {purpose}")
     try:
         values = np.zeros((R, R, R), dtype=np.float64)
     except (MemoryError, ValueError):  # ValueError: R^3 overflows numpy's array size
@@ -120,8 +115,8 @@ def _eval_nodes(params: FieldParams, z: np.ndarray, grid: ScalarGrid, nodes,
     """Write the field at lattice nodes into grid.values: `nodes` holds flat
     indices n of values (k fastest), or is None for every node in order.
     They are walked in chunks of _CHUNK nodes, so only a chunk's last forward
-    block is padded; workers > 1 maps the chunks over a thread pool whose
-    threads each run OpenBLAS single-threaded.  Values are bitwise
+    block is padded; blas.pool_map maps the chunks over `workers` threads,
+    with OpenBLAS single-threaded at every count.  Values are bitwise
     independent of the chunking and of workers because per-point evaluation
     is canonical."""
     R = grid.resolution

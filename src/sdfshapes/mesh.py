@@ -346,20 +346,23 @@ def normalize_unit_ball(mesh: TriangleMesh):
     return out, transform
 
 
+def check_sample_count(count: int) -> None:
+    """InvalidCount unless count is at least 1 and sample_surface's peak
+    need for it fits in physical memory."""
+    if count < 1:
+        raise InvalidCount(f"sample count must be >= 1, got {count}")
+    blas.check_memory(_SAMPLE_BYTES * count, InvalidCount, f"sample count {count}")
+
+
 def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSampleSet:
     """Area-weighted surface sampling with flat per-face normals.
 
     Triangles are chosen by cumulative-area inverse sampling and points are
     placed by the square-root barycentric map, which is uniform on each
-    triangle.  Zero-area triangles never get samples.  A count whose peak
-    need exceeds physical memory is InvalidCount, before any allocation.
+    triangle.  Zero-area triangles never get samples.  The count must pass
+    check_sample_count, which runs before any allocation.
     """
-    if count < 1:
-        raise InvalidCount(f"sample count must be >= 1, got {count}")
-    need, phys = _SAMPLE_BYTES * count, blas.physical_memory()
-    if phys is not None and need > phys:
-        raise InvalidCount(f"sample count {count} needs {need} bytes, more than "
-                           f"the {phys} bytes of physical memory")
+    check_sample_count(count)
     normals, areas = mesh.face_normals_and_areas()
     total = areas.sum()
     if total <= 0.0:

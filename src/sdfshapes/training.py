@@ -22,7 +22,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import blas
-from .blas import one_blas_thread, usable_cores
 from .errors import (
     ConfigMismatch,
     EmptySurfaceSet,
@@ -168,7 +167,7 @@ def local_sigmas(points: np.ndarray, k: int) -> np.ndarray:
         raise InvalidCount("k must be >= 1")
     k = min(k, n - 1)
     # k=[k + 1] returns only the k-th neighbor's column, not all k + 1
-    dists, _ = cKDTree(points).query(points, k=[k + 1], workers=usable_cores())
+    dists, _ = cKDTree(points).query(points, k=[k + 1], workers=blas.worker_count())
     return dists[:, 0]
 
 
@@ -217,18 +216,7 @@ def adam_step(value, grad, m, v, step, lr,
     return value
 
 
-def _check_network_fits(arch: Architecture) -> None:
-    """NetworkTooLarge unless the parameters and Adam's two moments of each,
-    3 float64 per parameter, fit in physical memory."""
-    need, phys = 3 * 8 * arch.parameter_count(), blas.physical_memory()
-    if phys is not None and need > phys:
-        raise NetworkTooLarge(
-            f"layer_count = {arch.layer_count}, hidden_width = {arch.hidden_width}, "
-            f"latent_dim = {arch.latent_dim}: the network needs {need} bytes for its "
-            f"parameters and Adam moments, more than the {phys} bytes of physical memory")
-
-
-@one_blas_thread()
+@blas.one_blas_thread()
 def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
           initial: Checkpoint | None = None, metrics=None, log=None) -> Checkpoint:
     """Run the Adam loop over all shapes and return a checkpoint.
@@ -237,13 +225,16 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
     initial, whose config and architecture must equal config and arch in
     every key but epochs, or else from the epoch-0 checkpoint of
     config.seed; initial is never modified, and past epoch 0 it must hold
-    its Adam state.  metrics may be a path,
-    appended to, or an open text stream; it receives the CSV header when
-    empty and one row per epoch.
+    its Adam state.  metrics may be a path, started anew when training
+    starts from epoch 0 and appended to on a resume, or an open text
+    stream; it receives the CSV header when empty and one row per epoch.
     """
     n = samples.validate().shape_count
     if initial is None:
-        _check_network_fits(arch)
+        blas.check_memory(3 * 8 * arch.parameter_count(), NetworkTooLarge,
+                          f"layer_count = {arch.layer_count}, hidden_width = "
+                          f"{arch.hidden_width}, latent_dim = {arch.latent_dim}: the network",
+                          " for its parameters and Adam moments")
         codes = np.random.default_rng([config.seed, 0]).normal(
             0.0, config.code_init_std, size=(n, arch.latent_dim))
         initial = Checkpoint(init_params(arch, config.seed), codes, replace(config, epochs=0))
@@ -276,7 +267,8 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
 
     with ExitStack() as stack:
         if isinstance(metrics, (str, bytes, os.PathLike)):
-            metrics = stack.enter_context(open(metrics, "a", encoding="utf-8"))
+            mode = "a" if initial.epochs_completed else "w"
+            metrics = stack.enter_context(open(metrics, mode, encoding="utf-8"))
         if metrics is not None and metrics.tell() == 0:
             metrics.write(METRICS_HEADER + "\n")
         for epoch in range(initial.epochs_completed, config.epochs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sdfshapes import cohort
+from sdfshapes import blas
 from sdfshapes.errors import EmptySet
 from sdfshapes.field import Architecture, FieldParams, init_params
 from sdfshapes.isosurface import (DEFAULT_HALFWIDTH, eval_grid, marching_cubes,
@@ -119,12 +119,12 @@ def assert_closed_off_the_lattice_boundary(mesh, resolution):
 @pytest.fixture
 def pool_workers(monkeypatch):
     """A function that sets how many threads the cohort commands' pools get
-    (the count usable_cores reports to sdfshapes.cohort).  The GIL switch
-    interval is shortened meanwhile, so the threads interleave often."""
+    (the core count blas.usable_cores reports to blas.worker_count).  The GIL
+    switch interval is shortened meanwhile, so the threads interleave often."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        yield lambda workers: monkeypatch.setattr(cohort, "usable_cores", lambda: workers)
+        yield lambda workers: monkeypatch.setattr(blas, "usable_cores", lambda: workers)
     finally:
         sys.setswitchinterval(old)
 

@@ -93,6 +93,18 @@ def test_train_resume_equals_straight_run(pipeline, tmp_path):
     assert [ln.split(",")[0] for ln in lines] == ["epoch", "0", "1", "2", "3"]
 
 
+def test_fresh_train_starts_its_metrics_anew(pipeline, tmp_path):
+    out, straight = tmp_path / "again.nsdf", tmp_path / "straight.nsdf"
+    for _ in range(2):
+        assert _train_to(pipeline, tmp_path, 2, out) == 0
+    assert _train_to(pipeline, tmp_path, 4, out, "--resume", str(out)) == 0
+    metrics = Path(f"{out}.metrics.csv")
+    lines = metrics.read_text().splitlines()
+    assert [ln.split(",")[0] for ln in lines] == ["epoch", "0", "1", "2", "3"]
+    assert _train_to(pipeline, tmp_path, 4, straight) == 0
+    assert metrics.read_bytes() == Path(f"{straight}.metrics.csv").read_bytes()
+
+
 def test_train_resume_below_completed_epochs_fails(pipeline, tmp_path, capsys):
     out, metrics = tmp_path / "lower.nsdf", tmp_path / "lower.csv"
     assert _train_to(pipeline, tmp_path, 1, out, "--resume", str(pipeline[4]),
@@ -517,3 +529,20 @@ def test_sample_counts_beyond_memory_fail_by_name(pipeline, tmp_path, capsys, mo
                               "bytes, more than the ")
         assert err.endswith(" bytes of physical memory\n") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("count, line", [
+    (0, "sample count must be >= 1, got 0"),
+    (10 ** 12, "sample count 1000000000000 needs 176000000000000 bytes, more than the "
+               "1000000000 bytes of physical memory")], ids=["0", "1e12"])
+def test_evaluate_recon_checks_eval_points_before_meshing(pipeline, tmp_path, capsys,
+                                                          monkeypatch, count, line):
+    _, _, samples, _, ck = pipeline
+    monkeypatch.setattr(blas, "physical_memory", lambda: 10 ** 9)
+    calls = []
+    monkeypatch.setattr(cohort, "reconstruct_shape", lambda *args: calls.append(args))
+    out = tmp_path / "recon.csv"
+    assert main(["evaluate", "recon", "--checkpoint", str(ck), "--samples", str(samples),
+                 "--resolution", "16", "--eval-points", str(count), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert calls == [] and not out.exists()

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
-module-level private name is read somewhere in the package, and only
-container.py packs or unpacks bytes."""
+module-level private name is read somewhere in the package, only
+container.py packs or unpacks bytes, and only blas.py reads the machine's
+cores and physical memory."""
 
 import ast
 from pathlib import Path
@@ -107,3 +108,38 @@ def test_framing_detector():
                                   if p.name != "container.py"], ids=lambda p: p.name)
 def test_only_container_frames_bytes(path):
     assert byte_framing(path.read_text(encoding="utf-8")) == []
+
+RESOURCE_READS = {"physical_memory", "usable_cores", "sysconf", "sched_getaffinity",
+                  "cpu_count"}
+
+
+def resource_reads(source: str):
+    """Lines that name a reader of the machine's cores or physical memory,
+    as a name, an attribute or an imported name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if RESOURCE_READS.intersection(names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_resource_read_detector():
+    source = ("import os\nfrom .blas import physical_memory, pool_map\n"
+              "n = os.cpu_count()\nm = blas.usable_cores()\nk = len(sched_getaffinity(0))\n"
+              "p = os.sysconf('SC_PHYS_PAGES')\nq = blas.worker_count()\n"
+              "'physical memory and usable cores'\n")
+    assert resource_reads(source) == [2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "blas.py"], ids=lambda p: p.name)
+def test_only_blas_sizes_resources(path):
+    assert resource_reads(path.read_text(encoding="utf-8")) == []

@@ -111,6 +111,28 @@ def test_one_blas_thread_restores_the_thread_count(pool_workers):
         set_threads(old)
 
 
+def test_pool_map_runs_one_worker_single_threaded(monkeypatch):
+    set_threads = blas._set_threads()
+    if set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    calls = []
+
+    def spy(count):
+        calls.append(count)
+        return set_threads(count)
+
+    monkeypatch.setattr(blas, "_set_threads", lambda: spy)
+    old = set_threads(2)
+    try:
+        # set_threads(1) inside fn reports the count fn runs at, and keeps it
+        seen = blas.pool_map(lambda i: (i, set_threads(1)), range(3), 1)
+        assert seen == [(0, 1), (1, 1), (2, 1)]
+        assert calls == [1, 2]  # pinned once, then restored
+        assert set_threads(2) == 2
+    finally:
+        set_threads(old)
+
+
 def test_eval_grid_resolution_error():
     p = random_params(tiny_arch(), 0)
     with pytest.raises(InvalidResolution):
