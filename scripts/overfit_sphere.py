@@ -8,7 +8,6 @@ points and re-meshed to compare the recovered radius.
 """
 
 import argparse
-import sys
 import time
 
 import numpy as np
@@ -36,7 +35,7 @@ def main():
     cfg = TrainConfig(epochs=args.epochs, surface_batch_size=args.batch, seed=args.seed)
 
     t0 = time.time()
-    ck = train(cfg, data, arch=arch, log=sys.stderr)
+    ck = train(cfg, data, arch=arch)
     print(f"trained {args.epochs} epochs in {time.time() - t0:.1f}s")
 
     z = ck.codes[0]

@@ -10,7 +10,6 @@ halfway between the smallest and largest shapes.
 
 import argparse
 import os
-import sys
 import time
 
 import numpy as np
@@ -40,9 +39,7 @@ def main():
     cfg = TrainConfig(epochs=args.epochs, surface_batch_size=args.batch, seed=args.seed)
 
     t0 = time.time()
-    ck = train(cfg, data, arch=arch,
-               metrics=os.path.join(args.out_dir, "metrics.csv"),
-               log=sys.stderr)
+    ck = train(cfg, data, arch=arch, metrics=os.path.join(args.out_dir, "metrics.csv"))
     print(f"trained {args.epochs} epochs over {len(radii)} shapes "
           f"in {time.time() - t0:.1f}s")
     save_checkpoint(ck, os.path.join(args.out_dir, "model.nsdf"))

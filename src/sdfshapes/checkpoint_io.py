@@ -19,7 +19,6 @@ it sizes any tensor.
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
 import numpy as np
 
@@ -66,7 +65,8 @@ def checkpoint_bytes(ck: Checkpoint) -> bytes:
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
     data = checkpoint_bytes(ck)
-    write_atomic(lambda tmp: Path(tmp).write_bytes(data), path)
+    with write_atomic(path, "wb") as fh:
+        fh.write(data)
 
 
 def _flag(value: int, name: str) -> bool:
@@ -87,7 +87,7 @@ def _adam_state(r: Reader, dims: list, n: int, latent_dim: int, epochs: int) -> 
     source = f"its config record sets epochs = {epochs}"
     _slot("step_params", *r.unpack("<Q"), epochs * n,
           f"{source}, and epochs * codes = {epochs * n}")
-    for k, steps in enumerate(r.view((n,), "<u8").tolist()):
+    for k, steps in enumerate(r.array((n,), "<u8").tolist()):
         _slot(f"step_codes[{k}]", steps, epochs, source)
     moments = {"m_weights": [], "v_weights": [], "m_biases": [], "v_biases": []}
     for din, dout in dims:
@@ -97,27 +97,28 @@ def _adam_state(r: Reader, dims: list, n: int, latent_dim: int, epochs: int) -> 
 
 
 def load_checkpoint(path) -> Checkpoint:
-    r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
-    arch = Architecture(*r.unpack("<IIIId"))
-    (n,) = r.unpack("<I")
-    if arch.layer_count * _MIN_LAYER_BYTES > r.left():
-        raise TruncatedFile(f"checkpoint is too short for {arch.layer_count} layers")
-    dims = arch.layer_dims()
-    weights, biases = [], []
-    for din, dout in dims:
-        weights.append(r.array((dout, din)))
-        biases.append(r.array((dout,)))
-    params = FieldParams(arch, weights, biases)
-    codes = r.array((n, arch.latent_dim))
-    record = {name: _flag(v, name) if code == "B" else v
-              for (name, code), v in zip(CONFIG_RECORD, r.unpack(_CONFIG_FMT))}
-    _slot("latent_dim", record.pop("latent_dim"), arch.latent_dim,
-          f"its header sets latent_dim = {arch.latent_dim}")
-    config = TrainConfig(**record)
-    for name, value in zip(("epochs", "seed"), r.unpack("<IQ")):
-        _slot(name, value, getattr(config, name),
-              f"its config record sets {name} = {getattr(config, name)}")
-    has_opt = _flag(*r.unpack("<B"), "optimizer")
-    opt = _adam_state(r, dims, n, arch.latent_dim, config.epochs) if has_opt else None
-    r.finish()
-    return Checkpoint(params, codes, config, opt).validate()
+    with open(path, "rb") as fh:
+        r = Reader(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+        arch = Architecture(*r.unpack("<IIIId"))
+        (n,) = r.unpack("<I")
+        if arch.layer_count * _MIN_LAYER_BYTES > r.left():
+            raise TruncatedFile(f"checkpoint is too short for {arch.layer_count} layers")
+        dims = arch.layer_dims()
+        weights, biases = [], []
+        for din, dout in dims:
+            weights.append(r.array((dout, din)))
+            biases.append(r.array((dout,)))
+        params = FieldParams(arch, weights, biases)
+        codes = r.array((n, arch.latent_dim))
+        record = {name: _flag(v, name) if code == "B" else v
+                  for (name, code), v in zip(CONFIG_RECORD, r.unpack(_CONFIG_FMT))}
+        _slot("latent_dim", record.pop("latent_dim"), arch.latent_dim,
+              f"its header sets latent_dim = {arch.latent_dim}")
+        config = TrainConfig(**record)
+        for name, value in zip(("epochs", "seed"), r.unpack("<IQ")):
+            _slot(name, value, getattr(config, name),
+                  f"its config record sets {name} = {getattr(config, name)}")
+        has_opt = _flag(*r.unpack("<B"), "optimizer")
+        opt = _adam_state(r, dims, n, arch.latent_dim, config.epochs) if has_opt else None
+        r.finish()
+        return Checkpoint(params, codes, config, opt).validate()

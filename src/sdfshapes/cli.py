@@ -1,11 +1,12 @@
 """Command-line pipeline: sample, train, reconstruct, interpolate, generate,
 evaluate.
 
-Sample sets, checkpoints, the reconstruct and interpolate meshes and the
-cohort manifest are written atomically (temp file + rename).  The training
-metrics CSV is written epoch by epoch, anew by a fresh run and appended to
-by --resume; the cohort meshes, the evaluate reports and their .summary.csv
-files are written in place.
+Every artifact a command writes (sample sets, checkpoints, meshes, the
+cohort manifest, reports and their .summary.csv files) lands by rename,
+through container.write_atomic, except train's progress log, the metrics
+CSV: it is flushed row by row, anew by a fresh run and appended to by
+--resume.  generate refuses an --out-dir that already holds OBJ or PLY
+files, so that one directory never mixes two cohorts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from . import cohort as cohort_mod
 from .checkpoint_io import load_checkpoint, save_checkpoint
 from .config import parse_config
-from .container import write_atomic
 from .errors import BadValue, InvalidCount, SdfShapesError, ZeroArea
 from .mesh import (SurfaceSampleSet, load_mesh, load_sample_set,
                    normalize_unit_ball, sample_surface, save_mesh,
@@ -49,7 +49,7 @@ def _cmd_sample(args) -> int:
         out.points.append(s.points[0])
         out.normals.append(s.normals[0])
     out.validate()
-    write_atomic(lambda p: save_sample_set(out, p), args.out)
+    save_sample_set(out, args.out)
     print(f"sampled {out.shape_count} shapes x {args.points} points -> {args.out}")
     return 0
 
@@ -59,8 +59,7 @@ def _cmd_train(args) -> int:
     settings = parse_config(b"" if args.config is None else Path(args.config).read_bytes())
     initial = load_checkpoint(args.resume) if args.resume else None
     metrics = args.metrics or (str(args.out) + ".metrics.csv")
-    ck = train(settings.train, samples, settings.arch, initial=initial,
-               metrics=metrics, log=sys.stderr if args.verbose else None)
+    ck = train(settings.train, samples, settings.arch, initial=initial, metrics=metrics)
     save_checkpoint(ck, args.out)
     print(f"trained {ck.epochs_completed} epochs over {samples.shape_count} "
           f"shapes -> {args.out}")
@@ -69,7 +68,7 @@ def _cmd_train(args) -> int:
 
 def _write_reconstruction(args, ck, code, what: str) -> int:
     mesh = reconstruct_shape(ck, code, args.resolution, workers=args.workers)
-    write_atomic(lambda p: save_mesh(mesh, p), args.out)
+    save_mesh(mesh, args.out)
     print(f"{what}: {len(mesh.vertices)} vertices, {len(mesh.faces)} faces -> {args.out}")
     return 0
 
@@ -102,11 +101,13 @@ def _cmd_interpolate(args) -> int:
 def _cmd_generate(args) -> int:
     ck = load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
+    if any(f.lower().endswith(MESH_EXTENSIONS) for f in os.listdir(args.out_dir)):
+        raise SdfShapesError(f"{args.out_dir} already holds OBJ/PLY meshes; "
+                             "generate writes a cohort only into a directory without them")
     _, manifest = cohort_mod.generate_cohort(
         ck, args.num, args.interp_count, args.seed, args.resolution,
         out_dir=args.out_dir)
-    manifest_path = os.path.join(args.out_dir, "manifest.csv")
-    write_atomic(manifest.to_csv, manifest_path)
+    manifest.to_csv(os.path.join(args.out_dir, "manifest.csv"))
     print(f"generated {args.num} shapes (m={args.interp_count}) in {args.out_dir}")
     return 0
 
@@ -157,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--out", required=True)
     tp.add_argument("--resume", default=None)
     tp.add_argument("--metrics", default=None)
-    tp.add_argument("--verbose", action="store_true")
     tp.set_defaults(fn=_cmd_train)
 
     rp = sub.add_parser("reconstruct", help="mesh one training shape")

@@ -38,6 +38,7 @@ from .errors import (
     TooFewMeshes,
 )
 from .blas import pool_map, worker_count
+from .container import write_atomic
 from .isosurface import extraction_bytes, reconstruct_shape
 from .mesh import SurfaceSampleSet, check_sample_count, sample_surface, save_mesh
 
@@ -85,7 +86,7 @@ class CohortManifest:
     entries: list = dc_field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with write_atomic(path) as fh:
             w = csv.writer(fh)
             w.writerow(["shape_id", "seed", "indices", "alphas", "mesh_path"])
             for e in self.entries:
@@ -135,6 +136,9 @@ def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
 
     For each shape, interp_count distinct rows are drawn uniformly and the
     weights come from the flat Dirichlet (normalized unit-exponential draws).
+    Returns (meshes, manifest).  With out_dir, each mesh is written to
+    out_dir/shape_<i>.obj and dropped, and meshes is None, so a large
+    cohort never holds more meshes than the pool is building.
     """
     n = len(checkpoint.codes)
     if interp_count > n:
@@ -151,16 +155,16 @@ def generate_cohort(checkpoint, count: int, interp_count: int, seed: int,
     def make(i):
         z = combine_codes(checkpoint.codes, weights[i])
         mesh = _reconstruct(checkpoint, z, resolution, f"cohort shape {i}")
-        path = ""
-        if out_dir is not None:
-            path = os.path.join(str(out_dir), f"shape_{i:03d}.obj")
-            save_mesh(mesh, path)
-        return mesh, path
+        if out_dir is None:
+            return mesh, ""
+        path = os.path.join(str(out_dir), f"shape_{i:03d}.obj")
+        save_mesh(mesh, path)
+        return None, path
 
     made = pool_map(make, range(count), worker_count(extraction_bytes(resolution)))
     manifest = CohortManifest([CohortEntry(i, w, path, seed)
                                for i, (w, (_, path)) in enumerate(zip(weights, made))])
-    return [mesh for mesh, _ in made], manifest
+    return ([mesh for mesh, _ in made] if out_dir is None else None), manifest
 
 
 def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -211,14 +215,14 @@ class DistanceReport:
         return edges, counts
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with write_atomic(path) as fh:
             w = csv.writer(fh)
             w.writerow(["label", "chamfer_sq"])
             for label, val in zip(self.labels, self.values):
                 w.writerow([label, repr(float(val))])
         s = self.summary()
         edges, counts = self.histogram()
-        with open(_summary_path(path), "w", newline="", encoding="utf-8") as fh:
+        with write_atomic(_summary_path(path)) as fh:
             w = csv.writer(fh)
             w.writerow(["count", "mean", "std", "min", "max"])
             w.writerow([s["count"], repr(s["mean"]), repr(s["std"]),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blas
-from .container import Reader, Writer
+from .container import Reader, Writer, write_atomic
 from .errors import (
     DegenerateMesh,
     EmptySurfaceSet,
@@ -327,7 +327,7 @@ def save_mesh(mesh: TriangleMesh, path) -> None:
     """Write an ASCII OBJ with 1-based face indices, 9 significant digits."""
     mesh.validate()
     v, f = mesh.vertices, mesh.faces + 1
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_atomic(path) as fh:
         fh.write(("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist()))
         fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
 
@@ -383,7 +383,7 @@ def sample_surface(mesh: TriangleMesh, count: int, seed: int) -> SurfaceSampleSe
 def save_sample_set(samples: SurfaceSampleSet, path) -> None:
     """Binary container: magic, version, u32 shape count, then per shape a
     u64 sample count and interleaved point/normal triples (LE float64)."""
-    with open(path, "wb") as fh:
+    with write_atomic(path, "wb") as fh:
         w = Writer(fh, SAMPLESET_MAGIC, SAMPLESET_VERSION)
         w.pack("<I", samples.shape_count)
         for p, n in zip(samples.points, samples.normals):
@@ -392,13 +392,15 @@ def save_sample_set(samples: SurfaceSampleSet, path) -> None:
 
 
 def load_sample_set(path) -> SurfaceSampleSet:
-    r = Reader(path, SAMPLESET_MAGIC, SAMPLESET_VERSION, "sample-set")
-    (n_shapes,) = r.unpack("<I")
-    points, normals = [], []
-    for _ in range(n_shapes):
-        (n,) = r.unpack("<Q")
-        block = r.view((n, 6))
-        points.append(block[:, :3].astype(np.float64))
-        normals.append(block[:, 3:].astype(np.float64))
-    r.finish()
+    with open(path, "rb") as fh:
+        r = Reader(fh, SAMPLESET_MAGIC, SAMPLESET_VERSION, "sample-set")
+        (n_shapes,) = r.unpack("<I")
+        points, normals = [], []
+        for _ in range(n_shapes):
+            (n,) = r.unpack("<Q")
+            block = r.array((n, 6))
+            points.append(block[:, :3].copy())
+            normals.append(block[:, 3:].copy())
+            del block  # so the next shape's block is not held beside it
+        r.finish()
     return SurfaceSampleSet(points=points, normals=normals)

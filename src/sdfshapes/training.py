@@ -218,7 +218,7 @@ def adam_step(value, grad, m, v, step, lr,
 
 @blas.one_blas_thread()
 def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
-          initial: Checkpoint | None = None, metrics=None, log=None) -> Checkpoint:
+          initial: Checkpoint | None = None, metrics=None) -> Checkpoint:
     """Run the Adam loop over all shapes and return a checkpoint.
 
     config.epochs is the target epoch count.  Training continues from
@@ -227,7 +227,8 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
     config.seed; initial is never modified, and past epoch 0 it must hold
     its Adam state.  metrics may be a path, started anew when training
     starts from epoch 0 and appended to on a resume, or an open text
-    stream; it receives the CSV header when empty and one row per epoch.
+    stream; it receives the CSV header when empty and one row per epoch,
+    flushed as it is written, so that the file shows a run's progress.
     """
     n = samples.validate().shape_count
     if initial is None:
@@ -296,8 +297,6 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
             if metrics is not None:
                 metrics.write(f"{epoch},{means[0]!r},{means[1]!r},{means[2]!r},"
                               f"{means[3]!r},{means[4]!r},{lr!r}\n")
-            if log is not None and (epoch % 100 == 0 or epoch == config.epochs - 1):
-                print(f"epoch {epoch}: mean loss {means[0]:.6f} (lr {lr:g})",
-                      file=log, flush=True)
+                metrics.flush()
 
     return Checkpoint(params, codes, config, opt).validate()

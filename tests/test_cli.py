@@ -258,6 +258,25 @@ def test_generate_command(pipeline):
         assert (out_dir / f"shape_{i:03d}.obj").exists()
 
 
+def test_generate_refuses_a_directory_holding_meshes(pipeline, tmp_path, capsys, monkeypatch):
+    # a second cohort written over a larger first one kept the first one's
+    # extra meshes beside the second manifest, and evaluate pairwise read them
+    _, _, _, _, ck = pipeline
+    out_dir = tmp_path / "cohort"
+    argv = ["generate", "--checkpoint", str(ck), "--interp-count", "1",
+            "--resolution", "14", "--out-dir", str(out_dir)]
+    assert main(argv + ["--num", "4"]) == 0
+    first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    calls = []
+    monkeypatch.setattr(cohort, "reconstruct_shape", lambda *args: calls.append(args))
+    assert main(argv + ["--num", "2", "--seed", "5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {out_dir} already holds OBJ/PLY meshes; generate writes a cohort "
+        "only into a directory without them\n")
+    assert calls == []
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+
 def test_evaluate_recon_command(pipeline):
     root, _, samples, _, ck = pipeline
     out = root / "recon.csv"

@@ -3,6 +3,7 @@
 import os
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -161,14 +162,35 @@ def test_generate_cohort_same_bits_at_any_worker_count(tmp_path, pool_workers):
         out = tmp_path / f"w{workers}"
         out.mkdir()
         meshes, manifest = generate_cohort(ck, 7, 3, seed=2, resolution=20, out_dir=out)
+        assert meshes is None
         assert threading.active_count() == threads  # the pool is gone
         files = {p.name: p.read_bytes() for p in out.iterdir()}
-        runs.append((meshes, _manifest_rows(manifest), files))
+        runs.append((generate_cohort(ck, 7, 3, seed=2, resolution=20)[0],
+                     _manifest_rows(manifest), files))
     (serial, rows, files), (pooled, pooled_rows, pooled_files) = runs
     _same_meshes(pooled, serial)
     assert pooled_rows == rows
     assert sorted(files) == [f"shape_{i:03d}.obj" for i in range(7)]
     assert pooled_files == files
+
+
+def test_generate_cohort_keeps_no_mesh_past_its_write(tmp_path, monkeypatch, pool_workers):
+    # holding every written mesh until the end made a 1000-shape cohort at
+    # R = 256 hold gigabytes that nothing read
+    ck = tiny_checkpoint(n_codes=5)
+    pool_workers(1)
+    saved, alive = [], []
+    save_mesh = cohort.save_mesh
+
+    def spy(mesh, path):
+        alive.append([k for k, ref in enumerate(saved) if ref() is not None])
+        saved.append(weakref.ref(mesh))
+        save_mesh(mesh, path)
+
+    monkeypatch.setattr(cohort, "save_mesh", spy)
+    meshes, _ = generate_cohort(ck, 4, 2, seed=6, resolution=16, out_dir=tmp_path)
+    assert alive == [[], [], [], []]
+    assert meshes is None
 
 
 def test_generate_cohort_caps_concurrent_lattices(monkeypatch, pool_workers):

@@ -1,7 +1,14 @@
 """The one container codec, exercised through both formats: a reader
-raises a named error for every input its writer cannot produce."""
+raises a named error for every input its writer cannot produce, and reads
+each array straight from the file.  Every writer lands its file whole by
+rename, or leaves the old one."""
 
+import builtins
+import io
+import os
 import struct
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,12 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfshapes.checkpoint_io import (CHECKPOINT_MAGIC, checkpoint_bytes,
-                                     load_checkpoint)
+                                     load_checkpoint, save_checkpoint)
+from sdfshapes.cohort import (CohortEntry, CohortManifest, CombinationWeights,
+                              DistanceReport)
 from sdfshapes.errors import (BadMagic, SdfShapesError, ShapeInconsistency,
                               TruncatedFile, UnsupportedVersion)
 from sdfshapes.field import Architecture, init_params
 from sdfshapes.mesh import (SAMPLESET_MAGIC, SurfaceSampleSet, load_sample_set,
-                            save_sample_set)
+                            save_mesh, save_sample_set)
+from sdfshapes.primitives import multi_sphere_samples, uv_sphere_mesh
 from sdfshapes.training import Checkpoint, OptimizerState, TrainConfig
 
 from conftest import mutated, mutations
@@ -156,3 +166,90 @@ def test_binary_readers_raise_only_package_errors_on_mutated_files(
         load(path)
     except SdfShapesError:
         pass
+
+
+def test_sample_set_loads_with_one_copy(tmp_path):
+    # the whole file read, then each array copied out of it, peaked at twice
+    # the file; read straight from the file, one shape's block is the excess
+    samples = multi_sphere_samples([0.3 + 0.05 * k for k in range(8)], 20000, 0)
+    path = tmp_path / "big.nsds"
+    save_sample_set(samples, path)
+    tracemalloc.start()
+    try:
+        loaded = load_sample_set(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * path.stat().st_size
+    for got, want in zip(loaded.points + loaded.normals, samples.points + samples.normals):
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
+def test_sample_set_loads_from_a_pipe(tmp_path):
+    samples = multi_sphere_samples([0.4, 0.6], 100, 0)
+    save_sample_set(samples, tmp_path / "s.nsds")
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:  # 4.8 kB: fits in the pipe's buffer
+        fh.write((tmp_path / "s.nsds").read_bytes())
+    try:
+        loaded = load_sample_set(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    for got, want in zip(loaded.points + loaded.normals, samples.points + samples.normals):
+        assert np.array_equal(got, want)
+
+
+class _FailingFile:
+    """A file whose first write lands half its bytes and then raises."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def _report(path):
+    DistanceReport(["0-1", "0-2"], [0.25, 0.5]).to_csv(path)
+
+
+# writer of the file out.csv, and the name of the file whose write fails
+WRITERS = {
+    "sample_set": (lambda p: save_sample_set(multi_sphere_samples([0.5], 50, 0), p), "out.csv"),
+    "mesh": (lambda p: save_mesh(uv_sphere_mesh(0.5, 4, 6), p), "out.csv"),
+    "checkpoint": (lambda p: save_checkpoint(_checkpoint(True), p), "out.csv"),
+    "manifest": (lambda p: CohortManifest([CohortEntry(
+        0, CombinationWeights((0, 1), [0.5, 0.5]), "shape_000.obj", 0)]).to_csv(p), "out.csv"),
+    "report": (_report, "out.csv"),
+    "report_summary": (_report, "out.summary.csv"),
+}
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_writer_failing_partway_leaves_the_old_file(tmp_path, monkeypatch, name):
+    write, failing = WRITERS[name]
+    old = b"an earlier run's bytes\n"
+    for n in ("out.csv", "out.summary.csv"):
+        (tmp_path / n).write_bytes(old)
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if Path(file).name.startswith(failing) and set(mode) & set("wax+"):
+            return _FailingFile(fh)
+        return fh
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", failing_open)
+        m.setattr(io, "open", failing_open)
+        with pytest.raises(OSError, match="^disk full$"):
+            write(tmp_path / "out.csv")
+    assert (tmp_path / failing).read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.summary.csv"]

@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its module, every
 module-level private name is read somewhere in the package, only
-container.py packs or unpacks bytes, and only blas.py reads the machine's
-cores and physical memory."""
+container.py packs or unpacks bytes or lands files on disk, and only blas.py
+reads the machine's cores and physical memory."""
 
 import ast
 from pathlib import Path
@@ -143,3 +143,52 @@ def test_resource_read_detector():
                                   if p.name != "blas.py"], ids=lambda p: p.name)
 def test_only_blas_sizes_resources(path):
     assert resource_reads(path.read_text(encoding="utf-8")) == []
+
+
+
+def file_landings(source: str):
+    """The source text of every call that puts bytes in a file, in source
+    order: os.replace, os.rename, write_bytes, write_text, and open with a
+    write or append mode or with a mode that is not a literal."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        method = isinstance(f, ast.Attribute)
+        name = f.attr if method else getattr(f, "id", None)
+        if name == "open":
+            at = 0 if method else 1  # path.open(mode), open(file, mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            lands = not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+        else:
+            lands = name in ("write_bytes", "write_text") or (
+                method and name in ("replace", "rename")
+                and isinstance(f.value, ast.Name) and f.value.id == "os")
+        if lands:
+            calls.append(node)
+    return [ast.unparse(n) for n in sorted(calls, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_file_landing_detector():
+    source = ("import os\nfrom dataclasses import replace\n"
+              "a = open(p)\nb = open(p, 'rb')\nc = open(p, 'w', encoding='utf-8')\n"
+              "d = open(p, mode='ab')\ne = open(p, m)\nf = Path(p).open('r+')\n"
+              "g = Path(p).open()\nPath(p).write_bytes(b'')\nq.write_text(t)\n"
+              "os.replace(a, b)\nos.rename(a, b)\ns = 'x'.replace('x', 'y')\n"
+              "k = replace(cfg, epochs=0)\nh = Path(p).read_text()\n")
+    assert file_landings(source) == [
+        "open(p, 'w', encoding='utf-8')", "open(p, mode='ab')", "open(p, m)",
+        "Path(p).open('r+')", "Path(p).write_bytes(b'')", "q.write_text(t)",
+        "os.replace(a, b)", "os.rename(a, b)"]
+
+
+# train appends its metrics CSV row by row, as the run's progress log
+LANDING_EXCEPTIONS = {"training.py": ["open(metrics, mode, encoding='utf-8')"]}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "container.py"], ids=lambda p: p.name)
+def test_only_container_lands_files(path):
+    assert file_landings(path.read_text(encoding="utf-8")) == LANDING_EXCEPTIONS.get(path.name, [])
