@@ -6,7 +6,9 @@ cohort manifest, reports and their .summary.csv files) lands by rename,
 through container.write_atomic, except train's progress log, the metrics
 CSV: it is flushed row by row, anew by a fresh run and appended to by
 --resume.  generate refuses an --out-dir that already holds OBJ or PLY
-files, so that one directory never mixes two cohorts.
+files, so that one directory never mixes two cohorts, and a generate that
+fails removes the meshes it wrote, so that the same command can be run
+again.
 """
 
 from __future__ import annotations
@@ -32,9 +34,12 @@ MESH_EXTENSIONS = (".obj", ".ply")
 DEFAULT_RESOLUTION = 256  # lattice nodes per axis of every extracting command
 
 
+def _meshes_in(directory) -> list:
+    return sorted(f for f in os.listdir(directory) if f.lower().endswith(MESH_EXTENSIONS))
+
+
 def _mesh_files(directory) -> list:
-    paths = [os.path.join(directory, f) for f in sorted(os.listdir(directory))
-             if f.lower().endswith(MESH_EXTENSIONS)]
+    paths = [os.path.join(directory, f) for f in _meshes_in(directory)]
     if not paths:
         raise SdfShapesError(f"no OBJ/PLY meshes in {directory}")
     return paths
@@ -100,14 +105,24 @@ def _cmd_interpolate(args) -> int:
 
 def _cmd_generate(args) -> int:
     ck = load_checkpoint(args.checkpoint)
+    made_dir = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    if any(f.lower().endswith(MESH_EXTENSIONS) for f in os.listdir(args.out_dir)):
+    if _meshes_in(args.out_dir):
         raise SdfShapesError(f"{args.out_dir} already holds OBJ/PLY meshes; "
                              "generate writes a cohort only into a directory without them")
-    _, manifest = cohort_mod.generate_cohort(
-        ck, args.num, args.interp_count, args.seed, args.resolution,
-        out_dir=args.out_dir)
-    manifest.to_csv(os.path.join(args.out_dir, "manifest.csv"))
+    try:
+        _, manifest = cohort_mod.generate_cohort(
+            ck, args.num, args.interp_count, args.seed, args.resolution,
+            out_dir=args.out_dir)
+        manifest.to_csv(os.path.join(args.out_dir, "manifest.csv"))
+    except BaseException:
+        # the directory held no meshes when this run began, so every mesh in
+        # it is this run's: remove them, so that a retry is not refused
+        for name in _meshes_in(args.out_dir):
+            os.remove(os.path.join(args.out_dir, name))
+        if made_dir and not os.listdir(args.out_dir):
+            os.rmdir(args.out_dir)
+        raise
     print(f"generated {args.num} shapes (m={args.interp_count}) in {args.out_dir}")
     return 0
 

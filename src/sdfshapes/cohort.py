@@ -215,15 +215,16 @@ class DistanceReport:
         return edges, counts
 
     def to_csv(self, path) -> None:
-        with write_atomic(path) as fh:
+        """The report at path and its summary beside it (_summary_path),
+        landed together: if either write raises, neither file changes."""
+        s = self.summary()
+        edges, counts = self.histogram()
+        with write_atomic(path) as fh, write_atomic(_summary_path(path)) as sh:
             w = csv.writer(fh)
             w.writerow(["label", "chamfer_sq"])
             for label, val in zip(self.labels, self.values):
                 w.writerow([label, repr(float(val))])
-        s = self.summary()
-        edges, counts = self.histogram()
-        with write_atomic(_summary_path(path)) as fh:
-            w = csv.writer(fh)
+            w = csv.writer(sh)
             w.writerow(["count", "mean", "std", "min", "max"])
             w.writerow([s["count"], repr(s["mean"]), repr(s["std"]),
                         repr(s["min"]), repr(s["max"])])

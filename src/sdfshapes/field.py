@@ -207,17 +207,23 @@ def _layers(params: FieldParams, c: np.ndarray, slopes: list | None = None):
             h = softplus(a, arch.softplus_beta, slopes)
 
 
-def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Field values at a batch of points; output i depends only on input i."""
-    c = _concat_input(params.arch, z, xs)
-    n = c.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    for s in range(0, n, _BLOCK):
+def _blocks(c: np.ndarray):
+    """The rows of c in blocks of _BLOCK rows, the last one zero-padded:
+    yields (first row, rows of c in the block, block)."""
+    for s in range(0, c.shape[0], _BLOCK):
         blk = c[s:s + _BLOCK]
         m = blk.shape[0]
         if m < _BLOCK:
             blk = np.zeros((_BLOCK, c.shape[1]), dtype=np.float64)
             blk[:m] = c[s:]
+        yield s, m, blk
+
+
+def forward(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Field values at a batch of points; output i depends only on input i."""
+    c = _concat_input(params.arch, z, xs)
+    out = np.empty(c.shape[0], dtype=np.float64)
+    for s, m, blk in _blocks(c):
         for _, a in _layers(params, blk):
             pass
         out[s:s + m] = a[:m, 0]
@@ -250,8 +256,13 @@ def _trace(params: FieldParams, c: np.ndarray):
 
 
 def spatial_gradient(params: FieldParams, z: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Exact derivative of the field with respect to the query point."""
-    _, _, _, g, _ = _trace(params, _concat_input(params.arch, z, xs))
+    """Exact derivative of the field with respect to the query point; row i
+    depends only on input i.  The rows are traced in forward's padded
+    blocks, so memory stays bounded whatever the batch."""
+    c = _concat_input(params.arch, z, xs)
+    g = np.empty((c.shape[0], 3), dtype=np.float64)
+    for s, m, blk in _blocks(c):
+        g[s:s + m] = _trace(params, blk)[3][:m]
     return g
 
 

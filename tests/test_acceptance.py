@@ -10,6 +10,7 @@ import filecmp
 import io
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -281,6 +282,24 @@ def test_band_certifies_node_signs_on_fixture(eight_sphere_model, monkeypatch):
     for z in (ck.codes[0], ck.codes[7], blend):
         reconstruct_shape(ck, z, 128)
     assert 0 < sum(points) < 500_000
+
+
+def test_band_memory_grows_with_the_surface(eight_sphere_model):
+    # the dense extractor peaked at 16 bytes per lattice node at R = 128; the
+    # stride-2 coarse levels and the sparse last level stay under half that,
+    # and under the guard's extraction_bytes
+    ck, _ = eight_sphere_model
+    blend = combine_codes(ck.codes, CombinationWeights(
+        (1, 3, 4, 6), np.array([0.1, 0.2, 0.3, 0.4])))
+    R = 128
+    for z in (ck.codes[0], ck.codes[7], blend):
+        tracemalloc.start()
+        try:
+            reconstruct_shape(ck, z, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < min(8 * R ** 3, isosurface.extraction_bytes(R)), peak
 
 
 # ------------------------------------------------------------- criterion 6

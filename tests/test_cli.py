@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from sdfshapes import blas, cohort, training
 from sdfshapes.cli import build_parser, main
 from sdfshapes.cohort import CohortManifest, DistanceReport
+from sdfshapes.errors import EmptySet
 from sdfshapes.checkpoint_io import load_checkpoint, save_checkpoint
 from sdfshapes.mesh import (_SAMPLE_BYTES, load_mesh, load_sample_set, save_mesh,
                            save_sample_set)
@@ -275,6 +277,42 @@ def test_generate_refuses_a_directory_holding_meshes(pipeline, tmp_path, capsys,
         "only into a directory without them\n")
     assert calls == []
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+
+
+def test_failed_generate_leaves_the_directory_as_it_was(pipeline, tmp_path, capsys,
+                                                       monkeypatch, pool_workers):
+    # a generate that failed at one shape left the others' meshes, and the
+    # retry was refused because the directory then held meshes
+    _, _, _, _, ck = pipeline
+    real, lock, calls = cohort.reconstruct_shape, threading.Lock(), []
+
+    def third_call_fails(*args):
+        with lock:
+            calls.append(args)
+            n = len(calls)
+        if n == 3:
+            raise EmptySet("the zero set misses this one")
+        return real(*args)
+
+    pool_workers(2)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("not a mesh\n")
+    for out_dir, before in ((kept, {"notes.txt": b"not a mesh\n"}), (tmp_path / "new", None)):
+        argv = ["generate", "--checkpoint", str(ck), "--num", "5", "--interp-count", "1",
+                "--resolution", "14", "--out-dir", str(out_dir)]
+        calls.clear()
+        monkeypatch.setattr(cohort, "reconstruct_shape", third_call_fails)
+        assert main(argv) == 1
+        assert "error: cohort shape " in capsys.readouterr().err and len(calls) >= 3
+        if before is None:
+            assert not out_dir.exists()
+        else:
+            assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        monkeypatch.setattr(cohort, "reconstruct_shape", real)
+        assert main(argv) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["manifest.csv"] + [f"shape_{i:03d}.obj" for i in range(5)] + list(before or []))
 
 
 def test_evaluate_recon_command(pipeline):

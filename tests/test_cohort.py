@@ -197,7 +197,7 @@ def test_generate_cohort_caps_concurrent_lattices(monkeypatch, pool_workers):
     ck = tiny_checkpoint(n_codes=5)
     pool_workers(3)
     want, _ = generate_cohort(ck, 5, 2, seed=4, resolution=20)
-    lattice = isosurface._EXTRACT_BYTES_PER_NODE * 20 ** 3
+    lattice = isosurface.extraction_bytes(20)
     seen = []
     pool_map = cohort.pool_map
 

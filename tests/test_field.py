@@ -5,12 +5,14 @@ loss / field value, which is an independent oracle for the hand-written
 tangent + reverse sweeps.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfshapes.errors import DimensionMismatch
-from sdfshapes.field import (Architecture, FieldParams, _trace, forward, init_params,
+from sdfshapes.field import (_BLOCK, Architecture, FieldParams, _trace, forward, init_params,
                              loss_gradients, shape_loss, softplus, spatial_gradient)
 
 from conftest import flatten, from_flat, linear_field, random_params, tiny_arch
@@ -219,6 +221,33 @@ def test_spatial_gradient_matches_fd_property(seed):
     ana = spatial_gradient(p, z, x[None])[0]
     fd = _fd_spatial(p, z, x)
     assert np.allclose(ana, fd, rtol=1e-6, atol=1e-8)
+
+
+def test_spatial_gradient_rows_do_not_depend_on_the_batch():
+    # a batch of one and a half blocks against one call per point
+    p = random_params(tiny_arch(width=16), 7)
+    z = np.random.default_rng(1).normal(size=4) * 0.3
+    xs = np.random.default_rng(2).uniform(-1, 1, (_BLOCK + _BLOCK // 2, 3))
+    batch = spatial_gradient(p, z, xs)
+    for i, x in enumerate(xs):
+        assert spatial_gradient(p, z, x[None]).tobytes() == batch[i:i + 1].tobytes()
+
+
+def test_spatial_gradient_memory_is_bounded_by_its_block():
+    # 10,000 points trace no more at once than one padded block does
+    p = random_params(Architecture(layer_count=8, hidden_width=64, latent_dim=8,
+                                   skip_layer=4), 3)
+    peaks = []
+    for n in (1, 10_000):
+        xs = np.random.default_rng(n).uniform(-1, 1, (n, 3))
+        tracemalloc.start()
+        try:
+            spatial_gradient(p, np.zeros(8), xs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # beyond one block's trace: the (n, 11) input and the (n, 3) output
+    assert peaks[1] < peaks[0] + 10_000 * (11 + 3) * 8 + 2 ** 20, peaks
 
 
 # --------------------------------------------------------------- shape_loss

@@ -1,5 +1,7 @@
 """Grid evaluation and marching-cubes extraction against analytic oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +235,60 @@ def test_mc_no_degenerate_or_unreferenced_random_grids(seed, R, frac):
     assert m.faces.flags.c_contiguous
 
 
+def reference_marching_cubes(grid):
+    """The dense extractor the crossing-cell core replaced: global edge ids
+    from three (cells, 12) coordinate arrays, end values read off the grid."""
+    vals, R = grid.values, grid.resolution
+    code = isosurface._case_index(vals < 0)
+    ci, cj, ck = np.nonzero((code != 0) & (code != 255))
+    if not len(ci):
+        return np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)
+    base, axis = isosurface._EDGE_BASE, isosurface._EDGE_AXIS
+    ids = (((ck[:, None] + base[:, 2]) * R + cj[:, None] + base[:, 1]) * R
+           + ci[:, None] + base[:, 0]) * 3 + axis
+    tt = TRI_TABLE[code[ci, cj, ck]]
+    cells, edges = [], []
+    for col in range(0, 15, 3):
+        on = tt[:, col] >= 0
+        cells.append(np.nonzero(on)[0])
+        edges.append(tt[on, col:col + 3])
+    unique_ids, faces = np.unique(ids[np.concatenate(cells)[:, None], np.concatenate(edges)],
+                                  return_inverse=True)
+    rest = unique_ids // 3
+    p0 = np.stack([rest % R, rest // R % R, rest // (R * R)], axis=1)
+    p1 = p0.copy()
+    p1[np.arange(len(p1)), unique_ids % 3] += 1
+    v0, v1 = vals[tuple(p0.T)], vals[tuple(p1.T)]
+    t = v0 / (v0 - v1)
+    sp = grid.spacing
+    return grid.lower + p0 * sp + (t[:, None] * sp) * (p1 - p0), faces.reshape(-1, 3)[:, ::-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.floats(0.05, 0.95))
+def test_crossing_cell_core_equals_dense_marching_cubes(seed, R, frac):
+    # the core, given the crossing cells a per-cell loop finds, meshes the
+    # bytes of marching_cubes, and both the bytes of the dense extractor
+    # they replaced; random node values put crossing cells on every face of
+    # the lattice
+    vals = np.random.default_rng(seed).normal(size=(R, R, R))
+    vals -= vals.min() + frac * (vals.max() - vals.min())
+    grid = ScalarGrid(R, np.full(3, -0.5), np.full(3, 1.5), vals)
+    mesh = marching_cubes(grid)
+    keys, corners = [], []
+    for i, j, k in np.ndindex((R - 1,) * 3):
+        c = [vals[i + dx, j + dy, k + dz] for dx, dy, dz in isosurface._CORNER_OFFSETS]
+        if min(c) < 0 <= max(c):
+            keys.append((i * R + j) * R + k)
+            corners.append(c)
+    core = isosurface._mesh_cells(R, grid.lower, grid.spacing, np.array(keys, dtype=np.int64),
+                                  np.array(corners).reshape(-1, 8))
+    verts, faces = reference_marching_cubes(grid)
+    for m in (mesh, core):
+        assert m.vertices.tobytes() == verts.tobytes() and m.vertices.shape == verts.shape
+        assert m.faces.tobytes() == faces.tobytes() and m.faces.dtype == faces.dtype
+
+
 def test_tri_table_never_cuts_an_edge_twice_in_a_triangle():
     # with the 12 edges of a cell distinct, no emitted face can repeat a vertex
     edges = {(tuple(b), a) for b, a in zip(isosurface._EDGE_BASE, isosurface._EDGE_AXIS)}
@@ -335,69 +391,86 @@ def test_band_equals_dense_on_perturbed_fields(seed):
 
 def test_last_level_reads_only_known_certifiers(monkeypatch):
     # every stride-2 value _certify reads must be a dense value already, and
-    # the signs it writes must be the dense signs
+    # every placeholder the last level leaves, pruned or certified, must
+    # have the dense sign
     reads = []
-    eval_marked, certifiers = isosurface._eval_marked, isosurface._certifiers
+    last_level, certifiers = isosurface._last_level, isosurface._certifiers
 
-    def recording_eval_marked(params, z, grid, known, ax, marked, workers, margin=None):
-        if margin is None:
-            return eval_marked(params, z, grid, known, ax, marked, workers)
-        reads.append([known.copy(), []])
-        count = eval_marked(params, z, grid, known, ax, marked, workers, margin)
-        reads[-1].append(grid.values.copy())  # before the closing sweep
-        return count
+    def recording_last_level(values2, known, cell, margin, resolution):
+        reads.append([values2.copy(), known.copy(), cell.copy(), margin, []])
+        got = last_level(values2, known, cell, margin, resolution)
+        reads[-1].append(tuple(a.copy() for a in got))
+        return got
 
     def recording_certifiers(nodes, resolution):
         certs, off = certifiers(nodes, resolution)
-        reads[-1][1].append((nodes, certs, off))
+        reads[-1][4].append((nodes, certs, off))
         return certs, off
 
-    monkeypatch.setattr(isosurface, "_eval_marked", recording_eval_marked)
+    monkeypatch.setattr(isosurface, "_last_level", recording_last_level)
     monkeypatch.setattr(isosurface, "_certifiers", recording_certifiers)
     ck, tiny = perturbed_checkpoint(1), tiny_checkpoint()
     cases = [(ck.params, z, R) for z in ck.codes for R in (7, 8, 24, 33, 40)]
     cases += [(tiny.params, tiny.codes[0], R) for R in (20, 64)]
     for params, z, R in cases:
         reads.clear()
-        grid = isosurface._band_grid(params, z, R, 1)
+        isosurface._band_cells(params, z, R, 1)
         dense = eval_grid(params, z, R).values.reshape(-1)
-        (known, calls, last), = reads  # one last level, with a margin from R = 7 up
-        # every placeholder, pruned or certified, has the dense sign
-        assert np.array_equal(last.reshape(-1) < 0, dense < 0)
+        (values2, known, cell, margin, calls, (nodes, values, done)), = reads
+        assert margin is not None  # one last level, with a margin from R = 7 up
+        # the last level's values and the pruned cells' signs, before the
+        # closing sweep; the nodes still at 0 are evaluated next
+        last, found, _ = isosurface._node_values(np.arange(R ** 3), nodes, values, cell, R)
+        pending = np.zeros(R ** 3, dtype=bool)
+        pending[nodes[~done & (values == 0)]] = True
+        assert np.array_equal(last[~pending] < 0, dense[~pending] < 0)
+        assert found[pending].all()
+        assert values[done].tobytes() == dense[nodes[done]].tobytes()
+        ax2 = isosurface._axis(R, 2)
+        m = len(ax2)
         for nodes, certs, off in calls:
-            assert known.reshape(-1)[certs].all() and not known.reshape(-1)[nodes].any()
-            assert grid.values.reshape(-1)[certs].tobytes() == dense[certs].tobytes()
+            # certs index the stride-2 sub-lattice; at is their lattice index
+            at = np.stack([ax2[certs // (m * m)], ax2[certs // m % m], ax2[certs % m]])
+            assert known.reshape(-1)[certs].all()
+            flat = (at[0] * R + at[1]) * R + at[2]
+            assert values2.reshape(-1)[certs].tobytes() == dense[flat].tobytes()
             # the certifiers are the stride-2 corners of the nodes' own cells
-            spread = np.abs(np.stack(np.unravel_index(certs, (R,) * 3))
-                            - np.stack(np.unravel_index(nodes, (R,) * 3))[:, None])
+            spread = np.abs(at - np.stack(np.unravel_index(nodes, (R,) * 3))[:, None])
             assert spread.max() <= 1 and ((spread == 1).sum(axis=0) == off).all()
             assert (off >= 1).all()
     for R in (3, 6):  # a single level: nothing to certify from
         reads.clear()
-        isosurface._band_grid(ck.params, ck.codes[0], R, 1)
-        assert reads == []
+        isosurface._band_cells(ck.params, ck.codes[0], R, 1)
+        (_, _, _, margin, calls, _), = reads
+        assert margin is None and calls == []
 
 
 def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):
     ck = tiny_checkpoint()
-    per_node = isosurface._EXTRACT_BYTES_PER_NODE
+    need = isosurface.extraction_bytes
     phys = blas.physical_memory()
     if phys is not None:  # the smallest R whose extraction exceeds this machine
-        R = int(round((phys / per_node) ** (1 / 3)))
-        while per_node * R ** 3 <= phys:
-            R += 1
+        R = 2
+        while need(R) <= phys:
+            R = R * 2 if need(2 * R) <= phys else R + 1
         with pytest.raises(InvalidResolution,
-                           match=f"resolution {R} needs {per_node * R ** 3} bytes to extract"):
+                           match=f"resolution {R} needs {need(R)} bytes to extract"):
             reconstruct_shape(ck, ck.codes[0], R)
-    # a machine one byte short of extracting at R = 64; its values alone fit
-    need = per_node * 64 ** 3
-    assert need - 1 >= 8 * 64 ** 3
-    monkeypatch.setattr(blas, "physical_memory", lambda: need - 1)
-    with pytest.raises(InvalidResolution, match=f"resolution 64 needs {need} bytes to "
-                       f"extract its mesh, more than the {need - 1} bytes of physical memory"):
-        reconstruct_shape(ck, ck.codes[0], 64)
+    # a machine one byte short of extracting at R = 64; its values alone
+    # fit, and the refusal comes before any allocation as large as the
+    # stride-2 values
+    assert need(64) - 1 >= 8 * 64 ** 3
+    monkeypatch.setattr(blas, "physical_memory", lambda: need(64) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidResolution, match=f"resolution 64 needs {need(64)} bytes "
+                           f"to extract its mesh, more than the {need(64) - 1} bytes of "
+                           "physical memory"):
+            reconstruct_shape(ck, ck.codes[0], 64)
+        assert tracemalloc.get_traced_memory()[1] < 8 * 33 ** 3
+    finally:
+        tracemalloc.stop()
     monkeypatch.setattr(blas, "physical_memory", lambda: 8 * 64 ** 3 - 1)
     with pytest.raises(InvalidResolution, match="resolution 64 needs 2097152 bytes for "
                        "its values, more than the 2097151 bytes of physical memory"):
         eval_grid(ck.params, ck.codes[0], 64)
-
