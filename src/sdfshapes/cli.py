@@ -5,10 +5,10 @@ Every artifact a command writes (sample sets, checkpoints, meshes, the
 cohort manifest, reports and their .summary.csv files) lands by rename,
 through container.write_atomic, except train's progress log, the metrics
 CSV: it is flushed row by row, anew by a fresh run and appended to by
---resume.  generate refuses an --out-dir that already holds OBJ or PLY
-files, so that one directory never mixes two cohorts, and a generate that
-fails removes the meshes it wrote, so that the same command can be run
-again.
+--resume, which first drops any rows of the epochs it runs again.
+generate refuses an --out-dir that already holds OBJ or PLY files, so that
+one directory never mixes two cohorts, and a generate that fails removes
+the meshes it wrote, so that the same command can be run again.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ The lattice is fixed at [-1.1, 1.1]^3.  eval_grid evaluates every node;
 reconstruct_shape evaluates only the nodes near the zero set, coarse to
 fine, and each node it evaluates gets eval_grid's bits.  It holds no array
 of R^3 entries: the coarse levels live on one dense array of the stride-2
-sub-lattice (1/8 of the nodes), and the last level on the sorted flat
-indices of the nodes around the open stride-2 cells, each with its value.
+sub-lattice (1/8 of the nodes), and the last level on bricks: the closed
+3 x 3 x 3 node boxes of the open stride-2 cells, whose nodes it keeps as
+sorted distinct flat indices, each with its value.
 On its last level it skips the nodes whose sign a stride-2 value
 certifies, which leaves out about 40% of the nodes it evaluates on trained
 fields.  Extraction uses the classic 256-case tables with shared edge
@@ -40,18 +41,18 @@ from .mesh import TriangleMesh
 
 DEFAULT_HALFWIDTH = 1.1
 _CHUNK = 16 * _BLOCK  # lattice nodes per forward call: 16 padded blocks
-_CELLS = _CHUNK // 8  # stride-2 cells per batch of the closing sweep
+_CELLS = _CHUNK // 8  # stride-2 cells per batch of the last level's bricks
 _COARSE_STRIDE = 16  # the narrow band's first sub-lattice
 _MARGIN = 2.0  # the band's L, over the steepest slope seen on that sub-lattice
 # reconstruct_shape's peak bytes (extraction_bytes): per lattice node, for
 # the stride-2 values, their known mask and the per-level cell signs and
 # masks; per node of R^2, the footprint of a surface the lattice's size, for
-# the last level's sorted node indices and values, the closing sweep's
-# batches and the crossing cells; and a fixed part for the desk network's
-# forward chunk and certificate batch.  Traced on 25-epoch desk fields
-# (8 x 64, d = 8; codes 0-7 and a blend, two seeds), the largest peaks were
-# 6.93 MB at R = 64, 15.28 MB at R = 128 and 31.28 MB at R = 192, the
-# largest sphere each time; this gives 8.86, 18.67 and 38.88 MB there
+# the bricks' sorted node indices and values, their batches and the
+# crossing cells; and a fixed part for the desk network's forward chunk and
+# certificate batch.  Traced on 25-epoch desk fields (8 x 64, d = 8; codes
+# 0-7 and a blend, two seeds), the largest peaks were 6.92 MB at R = 64,
+# 14.28 MB at R = 128 and 29.91 MB at R = 192, the largest sphere each
+# time; this gives 8.86, 18.67 and 38.88 MB there
 _EXTRACT_BYTES_PER_NODE = 2
 _EXTRACT_BYTES_PER_SURFACE_NODE = 500
 _EXTRACT_BYTES_FIXED = 6 << 20
@@ -207,18 +208,23 @@ def _corners_of(cells: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def _certifiers(nodes: np.ndarray, resolution: int):
-    """For flat indices of lattice nodes: the flat indices, on the stride-2
-    sub-lattice _axis(R, 2)^3, of the stride-2 nodes around each, as an
-    (8, len(nodes)) array with repeats along the axes where the node lies on
-    a stride-2 plane, and per node the number k of axes where it does not.
-    Each of its certifiers lies sqrt(k) lattice spacings from it."""
-    R, m = resolution, resolution // 2 + 1
+def _around(nodes: np.ndarray, resolution: int, cells: bool = False):
+    """For flat indices of lattice nodes: the flat indices of the stride-2
+    nodes around each, on the stride-2 sub-lattice _axis(R, 2)^3, or with
+    cells, of the stride-2 cells whose closed box holds each, as an
+    (8, len(nodes)) array with repeats; and per node the number k of axes
+    along which it lies between two stride-2 planes.  Along the others its
+    two nodes are the plane's own, and its two cells those on both sides of
+    the plane.  Each of its stride-2 nodes lies sqrt(k) lattice spacings
+    from it."""
+    R = resolution
+    m = R // 2 if cells else R // 2 + 1
     lo, hi, off = [], [], 0
     for a in (nodes // (R * R), nodes // R % R, nodes % R):
         odd = (a & 1) & (a != R - 1)  # off _axis(R, 2), whose node i is at (i + 1) // 2
-        lo.append((a + 1) // 2 - odd)
-        hi.append(lo[-1] + odd)
+        at = (a + 1) // 2 - odd
+        lo.append(np.maximum(at + odd - 1, 0) if cells else at)
+        hi.append(np.minimum(at, m - 1) if cells else at + odd)
         off = off + odd
     ends = (lo, hi)
     return np.stack([(ends[dx][0] * m + ends[dy][1]) * m + ends[dz][2]
@@ -232,7 +238,7 @@ def _certify(values2: np.ndarray, nodes: np.ndarray, resolution: int,
     or 0 where none does.  Under the assumption behind pruning, a slope
     below 2 margin, a certified node has c's sign."""
     reach = 2.0 * margin * _frame(resolution)[1][0] * np.sqrt(np.arange(4.0))
-    certs, off = _certifiers(nodes, resolution)
+    certs, off = _around(nodes, resolution)
     v = values2.reshape(-1)[certs]
     del certs
     # c is the first of the largest |f(c)|: the largest or the smallest value
@@ -261,147 +267,49 @@ def _eval_level(params: FieldParams, z: np.ndarray, resolution: int, values2: np
     known[at[i], at[j], at[k]] = True
 
 
-def _box_nodes(cells: np.ndarray, resolution: int, more: np.ndarray) -> np.ndarray:
-    """The sorted flat indices of the lattice nodes off the stride-2
-    sub-lattice in the closed box of a marked stride-2 cell, and of the
-    stride-2 nodes marked in `more`.  A node on a stride-2 plane of an axis
-    lies in the boxes of the cells on both sides of it; one between two
-    planes, in its own cell's only.  So each of the 7 kinds of node off the
-    sub-lattice is a dilation of the cell mask along its plane axes."""
-    R = resolution
-    ax2 = _axis(R, 2)
-    mids = (R - 1) // 2  # cells of gap 2 come first and hold the odd nodes 2a + 1
-
-    def planes(a, axis):  # a node between two cells' planes lies in both
-        out = np.zeros(a.shape[:axis] + (len(ax2),) + a.shape[axis + 1:], dtype=bool)
-        out[(slice(None),) * axis + (slice(None, -1),)] |= a
-        out[(slice(None),) * axis + (slice(1, None),)] |= a
-        return out
-
-    def between(a, axis):
-        return a[(slice(None),) * axis + (slice(None, mids),)]
-
-    kinds = [(planes, ax2), (between, 2 * np.arange(mids) + 1)]
-    parts = []
-    for fx, ix in kinds:
-        a = fx(cells, 0)
-        for fy, iy in kinds:
-            b = fy(a, 1)
-            for fz, iz in kinds:
-                mask = more if fx is fy is fz is planes else fz(b, 2)
-                n = np.flatnonzero(mask)  # np.nonzero's three indices take 5x longer
-                row = n // len(iz)
-                parts.append(((ix[:, None] * R + iy) * R).reshape(-1)[row] + iz[n - row * len(iz)])
-    nodes = np.concatenate(parts)
-    nodes.sort()
-    return nodes
-
-
-def _holders(nodes: np.ndarray, resolution: int) -> list:
-    """For flat indices of lattice nodes: the flat indices of the stride-2
-    cells whose closed box holds each, as 8 arrays with repeats."""
-    R, m = resolution, resolution // 2  # cells of the stride-2 sub-lattice per axis
-    lo, hi = [], []
-    for a in (nodes // (R * R), nodes // R % R, nodes % R):
-        odd = (a & 1) & (a != R - 1)
-        at = (a + 1) // 2 - odd
-        lo.append(np.where(odd, at, np.maximum(at - 1, 0)))
-        hi.append(np.minimum(at, m - 1))
-    ends = (lo, hi)
-    return [(ends[dx][0] * m + ends[dy][1]) * m + ends[dz][2] for dx, dy, dz in _CORNER_OFFSETS]
-
-
-def _mark_holders(masks, nodes: np.ndarray, negative: np.ndarray, resolution: int) -> None:
-    """Mark the stride-2 cells whose box holds a node: in masks[0] for a
-    negative node, in masks[1] for another."""
-    for c0 in range(0, len(nodes), _CHUNK):
-        neg = negative[c0:c0 + _CHUNK]
-        for cells in _holders(nodes[c0:c0 + _CHUNK], resolution):
-            masks[0].reshape(-1)[cells[neg]] = True
-            masks[1].reshape(-1)[cells[~neg]] = True
-
-
-def _node_values(ids: np.ndarray, nodes: np.ndarray, values: np.ndarray,
-                 cell: np.ndarray, resolution: int):
-    """The band's value at lattice nodes: values[i] at nodes[i] (sorted),
-    elsewhere the sign of the pruned stride-2 cell that lattice cell
-    min(n, R - 2) lies in.  Also returns where ids are in nodes, and their
-    positions there."""
-    pos = np.minimum(np.searchsorted(nodes, ids), len(nodes) - 1)
-    found = nodes[pos] == ids
-    got = values[pos]
-    if not found.all():
-        R, m = resolution, resolution // 2
-        miss = ids[~found]
-        c = [np.minimum(a, R - 2) // 2 for a in (miss // (R * R), miss // R % R, miss % R)]
-        got[~found] = cell.reshape(-1)[(c[0] * m + c[1]) * m + c[2]]
-    return got, found, pos
-
-
-def _last_level(values2: np.ndarray, known: np.ndarray, cell: np.ndarray, margin,
-                resolution: int):
-    """The band's stride-1 level.  Its nodes are the corners of the open
-    lattice cells, which are the nodes in the boxes of the open stride-2
-    cells, plus the known stride-2 nodes.  Returns their sorted flat
-    indices, their values and which of them are evaluated: a known stride-2
-    node has its value, a node that a stride-2 node certifies (see
-    _certify) its sign, checked _CHUNK nodes at a time, which keeps the
-    gathered certifier values small, and every other node 0, to be
-    evaluated.  margin is None when this level is also the first, and then
-    nothing is certified."""
-    R = resolution
-    ax2 = _axis(R, 2)
-    m = len(ax2)
-    on2 = known.copy()  # the stride-2 nodes it holds
-    for view in _corner_views(on2):
-        view |= cell == 0
-    nodes = _box_nodes(cell == 0, R, on2)
-    at2 = np.flatnonzero(on2)
-    del on2
-    pos = np.searchsorted(nodes, (ax2[at2 // (m * m)] * R + ax2[at2 // m % m]) * R + ax2[at2 % m])
-    values = np.zeros(len(nodes))
-    done = np.zeros(len(nodes), dtype=bool)
-    values[pos] = values2.reshape(-1)[at2]
-    done[pos] = known.reshape(-1)[at2]
-    del at2, pos
-    if margin is not None:
-        for c0 in range(0, len(nodes), _CHUNK):
-            at = np.flatnonzero(~done[c0:c0 + _CHUNK]) + c0
-            values[at] = _certify(values2, nodes[at], R, margin)
-    return nodes, values, done
-
-
-def _bricks(cells: np.ndarray, resolution: int, nodes, values, done, cell):
-    """For stride-2 cells (flat indices, sorted), batch by batch of _CELLS:
-    the (3, 3, 3, n) flat indices of the nodes of their boxes, the band's
-    values there (_node_values) and whether each was evaluated, and which of
-    the (2, 2, 2, n) lattice cells in them the zero set crosses."""
+def _boxes(cells: np.ndarray, resolution: int) -> np.ndarray:
+    """The (3, 3, 3, n) flat indices of the nodes of the closed boxes of n
+    stride-2 cells (flat indices); a cell of gap 1 repeats its upper plane.
+    Each box offset's indices rise with the cell."""
     R, m = resolution, resolution // 2
     ax2 = _axis(R, 2)
     step = np.arange(3)[:, None]
-    for c0 in range(0, len(cells), _CELLS):
-        c = cells[c0:c0 + _CELLS]
-        box = [np.minimum(ax2[a] + step, ax2[a + 1]) for a in (c // (m * m), c // m % m, c % m)]
-        del c
-        # each box offset's indices rise with the cell, so searchsorted walks nodes in order
-        ids = (box[0][:, None, None] * R + box[1][None, :, None]) * R + box[2][None, None, :]
-        v, found, pos = _node_values(ids, nodes, values, cell, R)
-        found &= done[pos]
-        del pos
-        inner = [b[:2] < R - 1 for b in box]  # a child of a gap-1 cell is no cell
-        code = _case_index(v < 0)
-        cross = ((code != 0) & (code != 255) & inner[0][:, None, None]
-                 & inner[1][None, :, None] & inner[2][None, None, :])
-        yield ids, v, found, cross
+    box = [np.minimum(ax2[a] + step, ax2[a + 1])
+           for a in (cells // (m * m), cells // m % m, cells % m)]
+    return (box[0][:, None, None] * R + box[1][None, :, None]) * R + box[2][None, None, :]
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of an index array, which it sorts in place, by
+    comparing neighbours: np.unique hashes, which took 18 times longer for
+    the nodes of the largest desk sphere at R = 128."""
+    ids.sort()
+    keep = np.ones(len(ids), dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+def _brick_nodes(cell: np.ndarray, resolution: int) -> np.ndarray:
+    """The sorted distinct flat indices of the nodes of the boxes of the
+    bricks, the open stride-2 cells (cell == 0), taken _CHUNK cells at a
+    time: batches of _CELLS left more repeats across batches, and raised the
+    peak RSS of the benchmark's reconstruct rounds by about 1 MiB."""
+    bricks = np.flatnonzero(cell == 0)
+    parts = [_distinct(_boxes(bricks[c0:c0 + _CHUNK], resolution).reshape(-1))
+             for c0 in range(0, len(bricks), _CHUNK)]
+    ids, n = np.empty(sum(map(len, parts)), dtype=np.int64), 0
+    while parts:  # each batch is freed once copied, so it is held once
+        part = parts.pop()
+        ids[n:n + len(part)] = part
+        n += len(part)
+    return _distinct(ids)
 
 
 def _band_cells(params: FieldParams, z: np.ndarray, resolution: int, workers: int):
     """The crossing cells of the lattice eval_grid fills, found by
     evaluating the field coarse to fine near the zero set only: the flat
     indices of their lower corners, sorted, and their 8 corner values in
-    _CORNER_OFFSETS order, each with eval_grid's bits.  Every node not
-    evaluated counts as -1 or +1: the sign of the pruned cell it lies in,
-    or the sign a stride-2 node certifies for it.
+    _CORNER_OFFSETS order, each with eval_grid's bits.
 
     Level s has the nodes _axis(R, s) per axis and the cells between them;
     cell k of level s splits into cells 2k and 2k + 1 of level s/2.  The
@@ -411,13 +319,19 @@ def _band_cells(params: FieldParams, z: np.ndarray, resolution: int, workers: in
     corners share one sign and all lie further than L times its diagonal
     from zero is pruned; the nodes of the next level in the other cells are
     evaluated, down to stride 2.  Those levels live on one array of the
-    stride-2 sub-lattice, which holds every coarser _axis(R, s).  At stride
-    1 a node is evaluated only when no stride-2 corner c of its cell's
-    parent certifies its sign, |f(c)| > 2 L |n - c| (see _last_level).
-    Last, any lattice cell whose corners straddle the zero set but include
-    a placeholder gets its missing corners evaluated, until there is none:
-    every cell that emits triangles then has the dense values at all 8
-    corners.
+    stride-2 sub-lattice, which holds every coarser _axis(R, s).
+
+    The last level is stored as bricks: the closed 3 x 3 x 3 node boxes of
+    the open stride-2 cells, whose node ids, sorted and distinct, are
+    `nodes`.  A known stride-2 node has its value; a node that a stride-2
+    corner c of its cell's parent certifies, |f(c)| > 2 L |n - c| (see
+    _certify), its sign; every other node is evaluated.  Then each pass
+    marks the stride-2 cells whose box holds a negative node, and those
+    whose box holds another.  A pruned cell whose box holds a node of the
+    other sign joins the bricks, and its new nodes are evaluated; otherwise
+    the bricks that hold both signs give the crossing lattice cells, and
+    their certified corners are evaluated, until there is none: every cell
+    that emits triangles then has the dense values at all 8 corners.
 
     Pruning and the certificate rest on one assumption: the field's slope
     stays below 2 L.  Every point of a pruned cell lies within half its
@@ -466,63 +380,75 @@ def _band_cells(params: FieldParams, z: np.ndarray, resolution: int, workers: in
         s //= 2
         n = -(-(R - 1) // s)
         cell = cell.repeat(2, 0).repeat(2, 1).repeat(2, 2)[:n, :n, :n]
-    nodes, values, done = _last_level(values2, known, cell, margin, R)
-    # The stride-2 cells whose box holds nodes of both signs hold every
-    # crossing lattice cell.  A box holds known stride-2 nodes, fresh
-    # last-level values, certified nodes, which have the sign of a known
-    # stride-2 node in every box that holds them, and placeholders, which
-    # have the sign of the pruned cell itself or of one just above it
+    # the last level: the bricks' nodes, with their values, signs or 0
+    nodes = _brick_nodes(cell, R)
+    values, done = np.zeros(len(nodes)), np.zeros(len(nodes), dtype=bool)
+    ax2 = _axis(R, 2)
+    at2 = np.flatnonzero(_corners_of(cell == 0))  # the bricks' stride-2 nodes
+    at = np.searchsorted(nodes, (ax2[at2 // (m * m)] * R + ax2[at2 // m % m]) * R + ax2[at2 % m])
+    values[at] = values2.reshape(-1)[at2]
+    done[at] = known.reshape(-1)[at2]
+    del at2, at
+    if margin is not None:  # None when the first level is the last: nothing certifies
+        for c0 in range(0, len(nodes), _CHUNK):  # which keeps the certifier values small
+            at = np.flatnonzero(~done[c0:c0 + _CHUNK]) + c0
+            values[at] = _certify(values2, nodes[at], R, margin)
+    # held[0] and held[1] mark the stride-2 cells whose box holds a negative
+    # node and a non-negative one.  A certified node has the sign of a known
+    # stride-2 node in every box that holds it
     held = []
-    n = cell.shape[0]
-    for sign, side in ((-1, known & (values2 < 0)), (1, known & (values2 >= 0))):
-        mask = np.zeros(cell.shape, dtype=bool)
+    for side in (known & (values2 < 0), known & (values2 >= 0)):
+        held.append(np.zeros(cell.shape, dtype=bool))
         for view in _corner_views(side):
-            mask |= view
-        for dx, dy, dz in _CORNER_OFFSETS:
-            mask[:n - dx, :n - dy, :n - dz] |= cell[dx:, dy:, dz:] == sign
-        held.append(mask)
+            held[-1] |= view
     finite = np.isfinite(values2).all()
     del values2, known, side
-    fresh = np.flatnonzero(~done & (values == 0))  # a certified node holds -1 or +1
-    for c0 in range(0, len(fresh), 8 * _CHUNK):  # a few chunks at a time, for memory
-        at = fresh[c0:c0 + 8 * _CHUNK]
-        out = np.empty(len(at))
-        _eval_nodes(params, z, R, nodes[at], out, workers)
-        values[at] = out
-    done[fresh] = True
-    _mark_holders(held, nodes[fresh], values[fresh] < 0, R)
-    active = held[0] & held[1]
-    del held, fresh
-    swept = np.zeros(cell.shape, dtype=bool)
-    while active.any():  # the closing sweep
-        swept |= active
-        todo = np.unique(np.concatenate([
-            ids[_corners_of(cross & (_case_index(ev) != 255)) & ~ev]
-            for ids, _, ev, cross in _bricks(np.flatnonzero(active), R, nodes, values, done, cell)]))
-        old, found, at = _node_values(todo, nodes, values, cell, R)
-        out = np.empty(len(todo))
-        _eval_nodes(params, z, R, todo, out, workers)
-        if not found.all():  # the sweep left the last level's nodes
-            order = np.argsort(np.concatenate([nodes, todo[~found]]), kind="stable")
-            nodes = np.concatenate([nodes, todo[~found]])[order]
-            values = np.concatenate([values, out[~found]])[order]
-            done = np.concatenate([done, np.ones(len(order) - len(done), dtype=bool)])[order]
-            at = np.searchsorted(nodes, todo)
-            del order
-        values[at] = out
-        done[at] = True
-        active = np.zeros(cell.shape, dtype=bool)  # the boxes where a sign flipped
-        flip = (out < 0) != (old < 0)
-        _mark_holders((active, active), todo[flip], out[flip] < 0, R)
+    pending = np.flatnonzero(~done & (values == 0))
+    while True:
+        for c0 in range(0, len(pending), 8 * _CHUNK):  # a few chunks at a time, for memory
+            at = pending[c0:c0 + 8 * _CHUNK]
+            out = np.empty(len(at))
+            _eval_nodes(params, z, R, nodes[at], out, workers)
+            values[at] = out
+        done[pending] = True
+        for c0 in range(0, len(pending), _CHUNK):
+            at = pending[c0:c0 + _CHUNK]
+            cells, _ = _around(nodes[at], R, cells=True)
+            neg = values[at] < 0
+            held[0].reshape(-1)[cells[:, neg]] = True
+            held[1].reshape(-1)[cells[:, ~neg]] = True
+        join = ((cell == 1) & held[0]) | ((cell == -1) & held[1])
+        if join.any():  # the slope passed 2 L there: follow the surface out
+            cell[join] = 0
+            old, nodes = nodes, _brick_nodes(cell, R)
+            at = np.searchsorted(nodes, old)
+            grown = np.zeros(len(nodes)), np.zeros(len(nodes), dtype=bool)
+            grown[0][at], grown[1][at] = values, done
+            values, done = grown
+            pending = np.flatnonzero(~done & (values == 0))  # the new nodes
+            continue
+        keys, corners = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 8))]
+        todo = np.zeros(len(nodes), dtype=bool)
+        active = np.flatnonzero(held[0] & held[1] & (cell == 0))
+        for c0 in range(0, len(active), _CELLS):
+            ids = _boxes(active[c0:c0 + _CELLS], R)
+            pos = np.searchsorted(nodes, ids)  # an exact hit: every box node is in nodes
+            v = values[pos]
+            code = _case_index(v < 0)
+            # a child cell of a gap-1 cell that repeats a plane is no cell
+            cross = (code != 0) & (code != 255) & (ids[1:, 1:, 1:] - ids[:-1, :-1, :-1]
+                                                   == R * R + R + 1)
+            todo[pos[_corners_of(cross) & ~done[pos]]] = True
+            n = ids.shape[-1]
+            at = np.flatnonzero(cross)
+            at = _CHILD_AT[at // n] * n + at % n  # the lower corners, on the (3, 3, 3, n) box
+            keys.append(ids.reshape(-1)[at])
+            corners.append(v.reshape(-1)[at[:, None] + _CORNER_AT * n])
+        pending = np.flatnonzero(todo)
+        if not len(pending):
+            break
     if not (finite and np.isfinite(values).all()):
         raise NonFiniteValue("grid contains non-finite values")
-    keys, corners = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 8))]
-    for ids, v, _, cross in _bricks(np.flatnonzero(swept), R, nodes, values, done, cell):
-        n = ids.shape[-1]
-        at = np.flatnonzero(cross)
-        at = _CHILD_AT[at // n] * n + at % n  # the lower corners, on the (3, 3, 3, n) box
-        keys.append(ids.reshape(-1)[at])
-        corners.append(v.reshape(-1)[at[:, None] + _CORNER_AT * n])
     keys, corners = np.concatenate(keys), np.concatenate(corners)
     order = np.argsort(keys)
     return keys[order], corners[order]

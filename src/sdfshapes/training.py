@@ -216,6 +216,21 @@ def adam_step(value, grad, m, v, step, lr,
     return value
 
 
+def _keep_rows_before(stream, epoch: int) -> None:
+    """Cut a metrics file opened to append after its header and its leading
+    rows of epochs below `epoch`: a run stopped after its last checkpoint
+    left rows that a resume from that checkpoint writes again."""
+    stream.buffer.seek(0)
+    size = 0
+    for n, line in enumerate(stream.buffer):
+        head = line.split(b",", 1)[0]
+        if n and not (head.isdigit() and int(head) < epoch):
+            break
+        size += len(line)
+    stream.truncate(size)
+    stream.seek(0, os.SEEK_END)
+
+
 @blas.one_blas_thread()
 def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
           initial: Checkpoint | None = None, metrics=None) -> Checkpoint:
@@ -226,9 +241,10 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
     every key but epochs, or else from the epoch-0 checkpoint of
     config.seed; initial is never modified, and past epoch 0 it must hold
     its Adam state.  metrics may be a path, started anew when training
-    starts from epoch 0 and appended to on a resume, or an open text
-    stream; it receives the CSV header when empty and one row per epoch,
-    flushed as it is written, so that the file shows a run's progress.
+    starts from epoch 0 and appended to on a resume, which first drops any
+    rows of the epochs it runs again, or an open text stream; it
+    receives the CSV header when empty and one row per epoch, flushed as it
+    is written, so that the file shows a run's progress.
     """
     n = samples.validate().shape_count
     if initial is None:
@@ -268,8 +284,10 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
 
     with ExitStack() as stack:
         if isinstance(metrics, (str, bytes, os.PathLike)):
-            mode = "a" if initial.epochs_completed else "w"
+            mode = "a+" if initial.epochs_completed else "w"
             metrics = stack.enter_context(open(metrics, mode, encoding="utf-8"))
+            if initial.epochs_completed:
+                _keep_rows_before(metrics, initial.epochs_completed)
         if metrics is not None and metrics.tell() == 0:
             metrics.write(METRICS_HEADER + "\n")
         for epoch in range(initial.epochs_completed, config.epochs):

@@ -107,6 +107,32 @@ def test_fresh_train_starts_its_metrics_anew(pipeline, tmp_path):
     assert metrics.read_bytes() == Path(f"{straight}.metrics.csv").read_bytes()
 
 
+def test_resume_after_a_stopped_resume_writes_each_row_once(pipeline, tmp_path, monkeypatch):
+    # a resume stopped in epoch 3 leaves the row of epoch 2 after the
+    # checkpoint of epoch 2; running the resume again writes that row again
+    out, straight = tmp_path / "stopped.nsdf", tmp_path / "straight.nsdf"
+    assert _train_to(pipeline, tmp_path, 2, out) == 0
+    calls, loss_gradients = [], training.loss_gradients
+
+    def stop_in_epoch_3(*args):
+        calls.append(args)
+        if len(calls) == 3:  # two shapes a epoch, from epoch 2
+            raise KeyboardInterrupt
+        return loss_gradients(*args)
+
+    monkeypatch.setattr(training, "loss_gradients", stop_in_epoch_3)
+    with pytest.raises(KeyboardInterrupt):
+        _train_to(pipeline, tmp_path, 4, out, "--resume", str(out))
+    monkeypatch.undo()
+    metrics = Path(f"{out}.metrics.csv")
+    rows = metrics.read_text().splitlines()
+    assert [ln.split(",")[0] for ln in rows] == ["epoch", "0", "1", "2"]
+    assert _train_to(pipeline, tmp_path, 4, out, "--resume", str(out)) == 0
+    assert _train_to(pipeline, tmp_path, 4, straight) == 0
+    assert out.read_bytes() == straight.read_bytes()
+    assert metrics.read_bytes() == Path(f"{straight}.metrics.csv").read_bytes()
+
+
 def test_train_resume_below_completed_epochs_fails(pipeline, tmp_path, capsys):
     out, metrics = tmp_path / "lower.nsdf", tmp_path / "lower.csv"
     assert _train_to(pipeline, tmp_path, 1, out, "--resume", str(pipeline[4]),

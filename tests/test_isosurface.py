@@ -359,11 +359,12 @@ def test_reconstruct_errors():
 
 def test_band_follows_the_surface_out_of_pruned_cells(monkeypatch):
     # with no margin only cells whose corners change sign are refined, so
-    # crossing lattice cells lie in pruned cells; the closing sweep must
-    # evaluate them all and still give the dense mesh
+    # crossing lattice cells lie in pruned cells; those must join the bricks
+    # and the mesh must still be the dense one.  At odd R no stride-2 cell
+    # has a gap of 1
     monkeypatch.setattr(isosurface, "_MARGIN", 0.0)
     ck = tiny_checkpoint()
-    for R in (40, 64):
+    for R in (33, 40, 64, 65):
         assert_band_equals_dense(ck, ck.codes[0], R)
 
 
@@ -390,59 +391,98 @@ def test_band_equals_dense_on_perturbed_fields(seed):
 
 
 def test_last_level_reads_only_known_certifiers(monkeypatch):
-    # every stride-2 value _certify reads must be a dense value already, and
-    # every placeholder the last level leaves, pruned or certified, must
-    # have the dense sign
-    reads = []
-    last_level, certifiers = isosurface._last_level, isosurface._certifiers
+    # every stride-2 value _certify reads must be a dense value already,
+    # every certified or pruned node must have the dense sign, the nodes must
+    # be the nodes of the bricks' boxes, and the field is evaluated once at
+    # each brick node that is neither known nor certified
+    seen = {}
+    eval_level, brick_nodes, around, certify, eval_nodes = (
+        isosurface._eval_level, isosurface._brick_nodes, isosurface._around,
+        isosurface._certify, isosurface._eval_nodes)
 
-    def recording_last_level(values2, known, cell, margin, resolution):
-        reads.append([values2.copy(), known.copy(), cell.copy(), margin, []])
-        got = last_level(values2, known, cell, margin, resolution)
-        reads[-1].append(tuple(a.copy() for a in got))
+    def recording_eval_level(params, z, R, values2, known, *rest):
+        seen["values2"], seen["known"] = values2, known  # not written after the coarse levels
+        return eval_level(params, z, R, values2, known, *rest)
+
+    def recording_brick_nodes(cell, R):
+        nodes = brick_nodes(cell, R)
+        seen.setdefault("bricks", (cell.copy(), nodes.copy()))
+        return nodes
+
+    def recording_around(nodes, R, cells=False):
+        got = around(nodes, R, cells)
+        if not cells:
+            seen["certs"].append((nodes, *got))
         return got
 
-    def recording_certifiers(nodes, resolution):
-        certs, off = certifiers(nodes, resolution)
-        reads[-1][4].append((nodes, certs, off))
-        return certs, off
+    def recording_certify(values2, nodes, R, margin):
+        signs = certify(values2, nodes, R, margin)
+        seen["certified"].append((nodes, signs))
+        return signs
 
-    monkeypatch.setattr(isosurface, "_last_level", recording_last_level)
-    monkeypatch.setattr(isosurface, "_certifiers", recording_certifiers)
+    def recording_eval_nodes(params, z, R, nodes, out, workers):
+        eval_nodes(params, z, R, nodes, out, workers)
+        if "bricks" in seen:  # the last level's evaluations
+            seen["evaluated"].append((nodes.copy(), out.copy()))
+
+    for name, fn in (("_eval_level", recording_eval_level), ("_certify", recording_certify),
+                     ("_brick_nodes", recording_brick_nodes), ("_around", recording_around),
+                     ("_eval_nodes", recording_eval_nodes)):
+        monkeypatch.setattr(isosurface, name, fn)
     ck, tiny = perturbed_checkpoint(1), tiny_checkpoint()
     cases = [(ck.params, z, R) for z in ck.codes for R in (7, 8, 24, 33, 40)]
     cases += [(tiny.params, tiny.codes[0], R) for R in (20, 64)]
     for params, z, R in cases:
-        reads.clear()
-        isosurface._band_cells(params, z, R, 1)
+        seen.clear()
         dense = eval_grid(params, z, R).values.reshape(-1)
-        (values2, known, cell, margin, calls, (nodes, values, done)), = reads
-        assert margin is not None  # one last level, with a margin from R = 7 up
-        # the last level's values and the pruned cells' signs, before the
-        # closing sweep; the nodes still at 0 are evaluated next
-        last, found, _ = isosurface._node_values(np.arange(R ** 3), nodes, values, cell, R)
-        pending = np.zeros(R ** 3, dtype=bool)
-        pending[nodes[~done & (values == 0)]] = True
-        assert np.array_equal(last[~pending] < 0, dense[~pending] < 0)
-        assert found[pending].all()
-        assert values[done].tobytes() == dense[nodes[done]].tobytes()
+        seen.update(certs=[], certified=[], evaluated=[])
+        keys, corners = isosurface._band_cells(params, z, R, 1)
+        values2, known = seen["values2"], seen["known"]
+        cell, nodes = seen["bricks"]
+        # nodes are the sorted distinct nodes of the bricks' boxes, so every
+        # lookup of a box node finds it
+        assert np.array_equal(nodes, np.unique(isosurface._boxes(np.flatnonzero(cell == 0), R)))
+        # every node in the box of a pruned cell has the cell's sign
+        pruned = np.flatnonzero(cell != 0)
+        inside = dense[isosurface._boxes(pruned, R)] < 0
+        assert (inside == (cell.reshape(-1)[pruned] < 0)).all()
         ax2 = isosurface._axis(R, 2)
         m = len(ax2)
-        for nodes, certs, off in calls:
+        assert seen["certs"]  # a margin from R = 7 up, so certificates
+        for at_nodes, certs, off in seen["certs"]:
             # certs index the stride-2 sub-lattice; at is their lattice index
             at = np.stack([ax2[certs // (m * m)], ax2[certs // m % m], ax2[certs % m]])
             assert known.reshape(-1)[certs].all()
             flat = (at[0] * R + at[1]) * R + at[2]
             assert values2.reshape(-1)[certs].tobytes() == dense[flat].tobytes()
             # the certifiers are the stride-2 corners of the nodes' own cells
-            spread = np.abs(at - np.stack(np.unravel_index(nodes, (R,) * 3))[:, None])
+            spread = np.abs(at - np.stack(np.unravel_index(at_nodes, (R,) * 3))[:, None])
             assert spread.max() <= 1 and ((spread == 1).sum(axis=0) == off).all()
             assert (off >= 1).all()
+        certified = np.concatenate([n[s != 0] for n, s in seen["certified"]])
+        signs = np.concatenate([s[s != 0] for _, s in seen["certified"]])
+        assert np.array_equal(signs < 0, dense[certified] < 0)
+        # the evaluated nodes have the dense bytes: once each, never a known
+        # stride-2 node, and every node neither known nor certified
+        evaluated = np.concatenate([n for n, _ in seen["evaluated"]])
+        assert np.concatenate([v for _, v in seen["evaluated"]]).tobytes() == \
+            dense[evaluated].tobytes()
+        assert len(np.unique(evaluated)) == len(evaluated) and np.isin(evaluated, nodes).all()
+        sub, off = around(nodes, R)
+        on2 = nodes[(off == 0) & known.reshape(-1)[sub[0]]]
+        assert not np.isin(evaluated, on2).any()
+        assert np.isin(np.setdiff1d(nodes, np.union1d(on2, certified)), evaluated).all()
+        # and the crossing cells, with their corners, are the dense ones
+        code = isosurface._case_index(dense.reshape((R,) * 3) < 0)
+        i, j, k = np.nonzero((code != 0) & (code != 255))
+        assert np.array_equal(keys, (i * R + j) * R + k)
+        offsets = isosurface._CORNER_OFFSETS @ [R * R, R, 1]
+        assert corners.tobytes() == dense[keys[:, None] + offsets].tobytes()
     for R in (3, 6):  # a single level: nothing to certify from
-        reads.clear()
+        seen.clear()
+        seen.update(certs=[], certified=[], evaluated=[])
         isosurface._band_cells(ck.params, ck.codes[0], R, 1)
-        (_, _, _, margin, calls, _), = reads
-        assert margin is None and calls == []
+        assert seen["certs"] == [] and seen["certified"] == []
 
 
 def test_extraction_rejects_resolutions_beyond_physical_memory(monkeypatch):

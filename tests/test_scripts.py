@@ -60,3 +60,14 @@ def test_cohort_variance(family_dir, tmp_path):
     assert [line.split()[:2] for line in lines[1:]] == [["2", "3"], ["4", "3"], ["8", "3"]]
     for m in (2, 4, 8):
         assert (tmp_path / f"cohort_m{m}.csv").exists()
+
+
+def test_pipeline_bytes_twice_gives_the_same_files(tmp_path):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert _run("pipeline_bytes.py", out, "--points", 200).strip() == f"10 commands -> {out}"
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) for out in outs]
+    assert files[0] == files[1] and len(files[0]) == 42
+    for rel in files[0]:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+    assert "-> recon33.obj" in (outs[0] / "06-reconstruct33.out").read_text()
