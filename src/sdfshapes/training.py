@@ -4,9 +4,11 @@ One Adam step is taken per shape-minibatch; every shape is visited exactly
 once per epoch in a seeded shuffled order.  Network parameters and the
 visited latent code row are updated jointly: at visit i of epoch e over n
 shapes, the parameters take Adam step e*n + i + 1 and the code step e + 1.
-The loop is single-threaded, OpenBLAS included; only local_sigmas'
-nearest-neighbor query, which sets the off-surface sampling scales, runs on
-every usable core, and its per-point results do not depend on that.
+The off-surface sampling scales, local_sigmas of each shape's samples, are
+queried on demand: a shape's KD-tree is built at its first visit, and each
+step queries only the rows it draws that are not known yet, so a short run
+or a resume with nothing left to run pays little for them.  The loop is
+single-threaded, OpenBLAS and the nearest-neighbor queries included.
 Training is bitwise reproducible for a fixed seed on one machine and BLAS
 build.
 """
@@ -34,6 +36,10 @@ from .errors import (
 )
 from .field import Architecture, FieldParams, init_params, loss_gradients
 from .mesh import SurfaceSampleSet
+
+# points per leaf of the KD-trees train holds: any leaf size gives the same
+# distances, and larger leaves hold fewer nodes
+_LEAF_SIZE = 64
 
 METRICS_HEADER = "epoch,mean_total,mean_surface,mean_normal,mean_eikonal,mean_codereg,lr"
 
@@ -157,8 +163,11 @@ class Checkpoint:
         return self
 
 
-def local_sigmas(points: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest neighbor (k capped at n-1)."""
+def local_sigmas(points: np.ndarray, k: int, rows=None, tree=None) -> np.ndarray:
+    """Distance from each point to its k-th nearest neighbor (k capped at
+    n-1), queried on one thread.  With rows, only points[rows] are queried,
+    each with the bits of the full query; tree may be a cKDTree already
+    built over points, of any leaf size."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if n < 2:
@@ -166,22 +175,52 @@ def local_sigmas(points: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise InvalidCount("k must be >= 1")
     k = min(k, n - 1)
+    tree = cKDTree(points) if tree is None else tree
     # k=[k + 1] returns only the k-th neighbor's column, not all k + 1
-    dists, _ = cKDTree(points).query(points, k=[k + 1], workers=blas.worker_count())
+    dists, _ = tree.query(points if rows is None else points[rows], k=[k + 1])
     return dists[:, 0]
 
 
-def sample_off_surface(surface_points: np.ndarray, sigmas: np.ndarray,
+class _LazySigmas:
+    """local_sigmas(points, k) of one shape, filled on demand.  Called with
+    drawn rows, it queries those not known yet, each once, and returns the
+    scales of all of them.  The KD-tree is built at the first query and
+    dropped once every row is known; a shape of one point has scale 0."""
+
+    def __init__(self, points: np.ndarray, k: int):
+        self.points, self.k, self.tree = points, k, None
+        self.unknown = len(points) if len(points) >= 2 else 0
+        self.values = np.full(len(points), np.nan if self.unknown else 0.0)  # NaN: not known
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        todo = np.sort(rows[np.isnan(self.values[rows])])
+        if len(todo):
+            # distinct by sort and compare: np.unique's first call costs more memory
+            todo = todo[np.concatenate(([True], todo[1:] != todo[:-1]))]
+            if self.tree is None:
+                self.tree = cKDTree(self.points, leafsize=_LEAF_SIZE, copy_data=False)
+            self.values[todo] = local_sigmas(self.points, self.k, todo, self.tree)
+            self.unknown -= len(todo)
+            if not self.unknown:
+                self.tree = None
+        return self.values[rows]
+
+
+def sample_off_surface(surface_points: np.ndarray, sigmas,
                        count: int, halfwidth: float, seed) -> np.ndarray:
-    """Half the points are Gaussian perturbations of random surface points
-    (per-point scale), half are uniform in the enclosing cube.  seed may
+    """Half the points are Gaussian perturbations of random surface points,
+    each at its point's scale, half are uniform in the enclosing cube.
+    sigmas holds the scale of every surface point, or is a function from
+    the drawn rows to their scales that draws no random numbers, as train's
+    on-demand local_sigmas is; the draws are the same either way.  seed may
     also be a Generator, which the draws then advance."""
     if count < 1:
         raise InvalidCount("count must be >= 1")
     surface_points = np.asarray(surface_points, dtype=np.float64)
-    sigmas = np.asarray(sigmas, dtype=np.float64)
-    if len(sigmas) != len(surface_points):
-        raise ShapeMismatch("sigmas must align with surface points")
+    if not callable(sigmas):
+        sigmas = np.asarray(sigmas, dtype=np.float64)
+        if len(sigmas) != len(surface_points):
+            raise ShapeMismatch("sigmas must align with surface points")
     n = len(surface_points)
     if n == 0:
         raise EmptySurfaceSet("no surface points to perturb")
@@ -189,7 +228,8 @@ def sample_off_surface(surface_points: np.ndarray, sigmas: np.ndarray,
     n_gauss = (count + 1) // 2
     n_unif = count // 2
     idx = rng.integers(0, n, size=n_gauss)
-    noise = rng.standard_normal((n_gauss, 3)) * sigmas[idx][:, None]
+    scales = sigmas(idx) if callable(sigmas) else sigmas[idx]
+    noise = rng.standard_normal((n_gauss, 3)) * scales[:, None]
     gauss = surface_points[idx] + noise
     unif = rng.uniform(-halfwidth, halfwidth, size=(n_unif, 3))
     return np.vstack([gauss, unif])
@@ -273,8 +313,7 @@ def train(config: TrainConfig, samples: SurfaceSampleSet, arch: Architecture,
     opt = (OptimizerState.fresh(params, codes) if initial.optimizer is None
            else copy.deepcopy(initial.optimizer))
 
-    sigmas = [local_sigmas(p, config.knn_k) if len(p) >= 2 else np.zeros(len(p))
-              for p in samples.points]
+    sigmas = [_LazySigmas(p, config.knn_k) for p in samples.points]
     B = config.surface_batch_size
     M = max(1, round(B * config.offsurface_ratio))
     hyper = (config.adam_beta1, config.adam_beta2, config.adam_eps)

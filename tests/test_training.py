@@ -58,16 +58,85 @@ def test_local_sigmas_k_capped():
     assert np.allclose(s, [5.0, 4.0, 5.0])
 
 
-def test_local_sigmas_bitwise_equal_to_full_neighbor_table():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1.0, 1.0, (600, 3))
+def _duplicated_points():
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, (600, 3))
     pts[300:400] = pts[:100]  # duplicates: zero distances and tied neighbors
     pts[400:420] = pts[0]
+    return pts
+
+
+def test_local_sigmas_bitwise_equal_to_full_neighbor_table():
+    pts = _duplicated_points()
     for k in (1, 5, 50, 599, 1000):
         s = local_sigmas(pts, k)
         full, _ = cKDTree(pts).query(pts, k=min(k, 599) + 1)
         assert s.flags.c_contiguous
         assert s.tobytes() == full[:, min(k, 599)].tobytes()
+
+
+def test_local_sigmas_rows_of_a_held_tree_equal_the_full_query():
+    pts = _duplicated_points()
+    rows = np.random.default_rng(1).integers(0, 600, 200)  # repeats rows
+    for leafsize in (16, training._LEAF_SIZE):
+        tree = cKDTree(pts, leafsize=leafsize, copy_data=False)
+        for k in (1, 5, 50, 599, 1000):
+            got = local_sigmas(pts, k, rows, tree)
+            assert got.tobytes() == local_sigmas(pts, k)[rows].tobytes()
+
+
+def _spy_queries(monkeypatch):
+    """Record the rows of every local_sigmas call, all rows when none are
+    given, keyed by the id of the points array queried."""
+    queried, reference = {}, training.local_sigmas
+
+    def spy(points, k, *rows_tree):
+        taken = np.array(rows_tree[0]) if rows_tree else np.arange(len(points))
+        queried.setdefault(id(points), []).extend(taken.tolist())
+        return reference(points, k, *rows_tree)
+
+    monkeypatch.setattr(training, "local_sigmas", spy)
+    return queried
+
+
+@pytest.mark.parametrize("k", [1, 5, 50, 599, 1000])
+def test_lazy_sigmas_equal_local_sigmas_and_query_each_row_once(monkeypatch, k):
+    pts = _duplicated_points()
+    full = local_sigmas(pts, k)
+    queried = _spy_queries(monkeypatch)
+    builds, tree = [], training.cKDTree
+    monkeypatch.setattr(training, "cKDTree",
+                        lambda *a, **kw: builds.append(kw) or tree(*a, **kw))
+    lazy = training._LazySigmas(pts, k)
+    rng = np.random.default_rng(k)
+    draws = [rng.integers(0, 600, 64) for _ in range(20)]
+    draws += [np.array([7, 7, 7, 301, 7, 301]), np.arange(600)[::-1], np.arange(600)]
+    for i, rows in enumerate(draws):
+        assert lazy(rows).tobytes() == full[rows].tobytes()
+        # the tree is held until the draw that completes the rows, then dropped
+        assert (lazy.tree is None) == (i >= len(draws) - 2)
+    assert sorted(queried[id(pts)]) == list(range(600))
+    assert builds == [{"leafsize": training._LEAF_SIZE, "copy_data": False}]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 80), st.integers(1, 90),
+       st.lists(st.lists(st.integers(0, 79), min_size=1, max_size=40), min_size=1, max_size=6))
+def test_lazy_sigmas_bitwise_on_random_draws(seed, n, k, draws):
+    pts = np.random.default_rng(seed).normal(size=(n, 3))
+    pts[n // 2:n // 2 + 2] = pts[0]  # ties
+    full = local_sigmas(pts, k)
+    lazy = training._LazySigmas(pts, k)
+    for rows in draws:
+        rows = np.array(rows) % n
+        assert lazy(rows).tobytes() == full[rows].tobytes()
+    assert np.isnan(lazy.values).sum() == lazy.unknown == n - len({r % n for d in draws for r in d})
+
+
+def test_lazy_sigmas_of_one_point_are_zero(monkeypatch):
+    monkeypatch.setattr(training, "local_sigmas", None)  # neither queries nor builds
+    monkeypatch.setattr(training, "cKDTree", None)
+    lazy = training._LazySigmas(np.zeros((1, 3)), 5)
+    assert lazy(np.zeros(3, dtype=np.int64)).tolist() == [0.0] * 3
 
 
 def test_local_sigmas_errors():
@@ -281,9 +350,60 @@ def test_train_validates_samples_before_any_step(monkeypatch):
         raise AssertionError("train went past its sample check")
 
     monkeypatch.setattr(training, "local_sigmas", never)
+    monkeypatch.setattr(training, "cKDTree", never)
     monkeypatch.setattr(training, "loss_gradients", never)
     with pytest.raises(NonFiniteValue, match="shape 1"):
         train(cfg, samples, arch=arch)
+
+
+def test_train_queries_only_the_scales_it_draws(monkeypatch):
+    # one epoch visits each shape once and draws ceil(M/2) Gaussian rows there
+    cfg, samples, arch = _tiny_setup(1, n_shapes=3)
+    M = round(cfg.surface_batch_size * cfg.offsurface_ratio)
+    queried = _spy_queries(monkeypatch)
+    train(cfg, samples, arch=arch)
+    assert sorted(queried) == sorted(id(p) for p in samples.points)
+    for rows in queried.values():
+        assert len(rows) <= -(-M // 2)
+        assert len(rows) == len(set(rows))
+
+
+def test_train_resume_with_nothing_to_run_builds_no_tree(monkeypatch):
+    cfg, samples, arch = _tiny_setup(2)
+    done = train(cfg, samples, arch=arch)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a resume with no epoch to run queried a scale")
+
+    monkeypatch.setattr(training, "local_sigmas", never)
+    monkeypatch.setattr(training, "cKDTree", never)
+    assert checkpoint_bytes(train(cfg, samples, arch=arch, initial=done)) == checkpoint_bytes(done)
+
+
+class _EagerSigmas:
+    """The scales of every row at once, as train took them before they were
+    queried on demand."""
+
+    def __init__(self, points, k):
+        self.values = local_sigmas(points, k) if len(points) >= 2 else np.zeros(len(points))
+
+    def __call__(self, rows):
+        return self.values[rows]
+
+
+def test_train_with_lazy_scales_gives_the_eager_bytes(tmp_path, monkeypatch):
+    # 4 epochs of 8 Gaussian rows over 64 samples: rows repeat across steps
+    cfg4, samples, arch = _tiny_setup(4)
+    outputs = {}
+    for side in ("lazy", "eager"):
+        if side == "eager":
+            monkeypatch.setattr(training, "_LazySigmas", _EagerSigmas)
+        path = tmp_path / f"{side}.csv"
+        half = train(TrainConfig(**{**cfg4.__dict__, "epochs": 2}), samples,
+                     arch=arch, metrics=path)
+        ck = train(cfg4, samples, arch=arch, initial=half, metrics=path)
+        outputs[side] = (checkpoint_bytes(ck), path.read_bytes())
+    assert outputs["lazy"] == outputs["eager"]
 
 
 def test_train_metrics_header_only_into_an_empty_sink(tmp_path):
